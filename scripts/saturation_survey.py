@@ -20,9 +20,9 @@ def survey(max_n):
         rows.append((f"Z_{n}", GroupSpec("cayley", table=cyclic_table(n))))
     for n in range(3, max_n + 1):
         rows.append((f"D_{n}", GroupSpec("dihedral", n=n)))
-    for n in range(3, min(max_n, 5) + 1):
+    for n in range(3, min(max_n, 6) + 1):
         rows.append((f"S_{n}", GroupSpec("symmetric", n=n)))
-    for n in range(4, min(max_n, 5) + 1):
+    for n in range(4, min(max_n, 6) + 1):
         rows.append((f"A_{n}", GroupSpec("alternating", n=n)))
     for name, spec in rows:
         length = saturation_length(spec)

@@ -67,6 +67,9 @@ def decode_element(spec: GroupSpec, obj):
     if f == "ut4p":
         return highdim.UT4Element(spec.p, obj["entries"])
     if f == "semidirect":
+        if len(obj["vec"]) != spec.k:
+            raise MalformedElementError(
+                f"vec has length {len(obj['vec'])}, the group has k = {spec.k}")
         return semidirect.SemidirectElement(obj["vec"], obj["sign"], spec.m)
     raise MalformedElementError(f)
 
@@ -123,11 +126,15 @@ def _gl2_method(eq):
 def _route(eq, force_oracle, rng):
     """(method name, decide function, solve function) for the equation."""
     f = eq.group.family
-    if force_oracle or f in ("cayley", "symmetric", "alternating", "et2n"):
+    # sl2p has no closed form here: the GL(2,p) one ignores how SL(2,p)
+    # splits classes, so it goes to the oracle, which raises a capacity
+    # error above CAP rather than give a GL(2,p) answer
+    if force_oracle or f in ("cayley", "symmetric", "alternating", "et2n",
+                             "sl2p"):
         return "cayley-dp", core.decide_cayley, core.solve_brute
     if f == "dihedral":
         return "dihedral-criterion", dihedral.decide_dn, dihedral.solve_dn
-    if f in ("gl2p", "sl2p"):
+    if f == "gl2p":
         return (_gl2_method(eq), mat2.decide_gl2,
                 lambda e: mat2.solve_gl2(e, rng))
     if f == "tl2p":

@@ -6,7 +6,6 @@ when conjugators z_i exist with prod_i z_i^-1 c_i z_i = 1 (or = rhs).
 """
 
 import math
-import random
 from dataclasses import dataclass, field
 
 CAP = 10**4
@@ -79,15 +78,31 @@ class CayleyTable:
                 break
         if ident is None:
             raise BadTableError("no identity element")
-        if n <= 64:
-            triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-        else:
-            r = random.Random(0)
-            triples = ((r.randrange(n), r.randrange(n), r.randrange(n))
-                       for _ in range(10**6))
-        for a, b, c in triples:
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                raise BadTableError("associativity fails")
+        # Light's test: the elements s with (x s) y == x (s y) for all x, y
+        # are closed under products, so checking a generating set is exact.
+        # Generators are picked greedily outside the closure under right
+        # multiplication by the generators found so far.
+        gens = []
+        reached = [ident]
+        seen = [False] * n
+        seen[ident] = True
+        for g in range(n):
+            if seen[g]:
+                continue
+            gens.append(g)
+            queue = [mul[h][g] for h in reached]
+            while queue:
+                h = queue.pop()
+                if not seen[h]:
+                    seen[h] = True
+                    reached.append(h)
+                    queue.extend(mul[h][s] for s in gens)
+        for s in gens:
+            row_s = mul[s]
+            for x in range(n):
+                row_x = mul[x]
+                if list(mul[row_x[s]]) != [row_x[t] for t in row_s]:
+                    raise BadTableError("associativity fails")
         inv = [None] * n
         for i in range(n):
             for j in range(n):
@@ -348,10 +363,13 @@ def reorder_equiv(eq: SphericalEquation, perm: list):
 
 
 class ConjClassTable:
-    """Conjugacy classes of an enumerable group, with witnesses.
+    """Conjugacy classes of an enumerable group, with witnesses, and the
+    class-mask engine behind the oracle.
 
     witness[i] conjugates the class representative onto element i, i.e.
-    witness[i]^-1 . rep . witness[i] = elems[i].
+    witness[i]^-1 . rep . witness[i] = elems[i].  A product of classes is a
+    normal subset, so every set the oracle reaches is a union of classes and
+    is held as a bitmask with one bit per class.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -377,7 +395,33 @@ class ConjClassTable:
                     cls.append(j)
             self.classes.append(cls)
             self.reps.append(i)
-        self._verdicts = {}
+        self.ident_mask = 1 << self.class_of[self.index[spec.identity()]]
+        self._prod = {}
+
+    def class_id(self, g) -> int:
+        return self.class_of[self.index[g]]
+
+    def prod(self, a, b) -> int:
+        """Mask of the classes met by rep_a . C_b, which is the mask of
+        C_a . C_b; filled on first use."""
+        m = self._prod.get((a, b))
+        if m is None:
+            elems, index, class_of = self.elems, self.index, self.class_of
+            g = elems[self.reps[a]]
+            m = 0
+            for u in self.classes[b]:
+                m |= 1 << class_of[index[g * elems[u]]]
+            self._prod[(a, b)] = m
+        return m
+
+    def step(self, mask, b) -> int:
+        """Mask of (union of the classes in mask) . C_b."""
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= self.prod(low.bit_length() - 1, b)
+            mask ^= low
+        return out
 
     def conjugator_onto(self, c, target):
         """z with z^-1 c z = target, for c and target in the same class."""
@@ -400,91 +444,62 @@ def conjugacy_classes(spec: GroupSpec) -> ConjClassTable:
 
 def _class_signature(tab: ConjClassTable, eq: SphericalEquation):
     eqn = normalize(eq)
-    return tuple(sorted(tab.class_of[tab.index[c]] for c in eqn.constants))
+    return tuple(sorted(tab.class_id(c) for c in eqn.constants))
 
 
 def decide_cayley(eq: SphericalEquation) -> bool:
-    """Dynamic program over reachable products of conjugates.
+    """Dynamic program over class masks.
 
     V_{j+1} = V_j . class(c_{j+1}); solvable iff the identity lands in V_k.
-    The verdict only depends on the multiset of constant classes, so it is
-    memoized per class signature on the cached class table.
+    Products of classes commute, so the constants are taken in sorted class
+    order.
     """
     tab = conjugacy_classes(eq.group)
-    sig = _class_signature(tab, eq)
-    hit = tab._verdicts.get(sig)
-    if hit is not None:
-        return hit
-    elems, index = tab.elems, tab.index
-    ident_i = index[eq.group.identity()]
-    reach = {ident_i}
-    for cls_id in sig:
-        cls = [elems[j] for j in tab.classes[cls_id]]
-        reach = {index[elems[v] * u] for v in reach for u in cls}
-    verdict = ident_i in reach
-    tab._verdicts[sig] = verdict
-    return verdict
+    mask = tab.ident_mask
+    for b in _class_signature(tab, eq):
+        mask = tab.step(mask, b)
+    return bool(mask & tab.ident_mask)
 
 
 def solve_brute(eq: SphericalEquation):
-    """Independent constructive oracle: the decision DP with back-pointers,
-    returning a verified Solution or None."""
+    """Independent constructive oracle: the class-mask DP, traced back from
+    the identity, returning a verified Solution or None."""
     tab = conjugacy_classes(eq.group)
     eqn = normalize(eq)
-    elems, index = tab.elems, tab.index
-    ident = eq.group.identity()
-    ident_i = index[ident]
-    layers = [{ident_i: None}]
-    for c in eqn.constants:
-        cls = tab.classes[tab.class_of[index[c]]]
-        nxt = {}
-        for v in layers[-1]:
-            gv = elems[v]
-            for u in cls:
-                w = index[gv * elems[u]]
-                if w not in nxt:
-                    nxt[w] = (v, u)
-        layers.append(nxt)
-    if ident_i not in layers[-1]:
+    ids = [tab.class_id(c) for c in eqn.constants]
+    masks = [tab.ident_mask]
+    for b in ids:
+        masks.append(tab.step(masks[-1], b))
+    if not masks[-1] & tab.ident_mask:
         return None
-    # trace back: at each step recover the class element used, then a
-    # conjugator witness taking the constant onto it
+    # trace back: g lies in V_j = V_{j-1} . C_j, so some u in C_j leaves
+    # g . u^-1 in V_{j-1}; the constant c_j is then conjugated onto u
+    elems = tab.elems
+    ident = eq.group.identity()
+    g = ident
     zs = []
-    cur = ident_i
-    for j in range(len(eqn.constants), 0, -1):
-        v, u = layers[j][cur]
-        c = eqn.constants[j - 1]
-        zs.append(tab.conjugator_onto(c, elems[u]))
-        cur = v
+    for j in range(len(ids), 0, -1):
+        prev = masks[j - 1]
+        for ui in tab.classes[ids[j - 1]]:
+            u = elems[ui]
+            v = g * u.inverse()
+            if prev >> tab.class_id(v) & 1:
+                break
+        zs.append(tab.conjugator_onto(eqn.constants[j - 1], u))
+        g = v
     zs.reverse()
-    sol_n = Solution(zs)
-    assert verify(eqn, sol_n)
     # re-inflate to the original equation: identity constants get identity
-    # conjugators, an rhs constant's conjugator transfers directly
-    full = []
+    # conjugators.  With an rhs the normalized solution gives the product
+    # P = zr^-1 rhs zr, so z_i <- z_i zr^-1 yields zr P zr^-1 = rhs.
     it = iter(zs)
-    for c in eq.constants:
-        full.append(next(it) if c != ident else ident)
+    full = [next(it) if c != ident else ident for c in eq.constants]
     if eq.rhs is not None and eq.rhs != ident:
-        zr = next(it)
-        # prod z^-1 c z . zr^-1 rhs^-1 zr = 1  =>  prod = zr^-1 rhs zr ...
-        # verify() for rhs-form compares against rhs directly, so we must
-        # fold the trailing conjugate back.  Solve via the normalized form:
-        # keep the rhs-form solution only when zr commutes suitably;
-        # otherwise conjugate the whole product.  Simplest correct route:
-        # rewrite each z_i -> z_i * zr^-1 ... not valid in general, so we
-        # instead return the normalized-form solution when rhs is present.
-        sol = Solution(full)
-        if verify(eq, sol):
-            return sol
-        # conjugating every z_i by w maps the product P to w^-1 P w; the
-        # normalized solution gives P = zr^-1 rhs zr, so z_i <- z_i zr^-1
-        # yields P' = zr P zr^-1 = rhs.
-        fixed = [z * zr.inverse() for z in full]
-        sol = Solution(fixed)
-        assert verify(eq, sol)
-        return sol
-    return Solution(full)
+        zr_inv = next(it).inverse()
+        full = [z * zr_inv for z in full]
+    sol = Solution(full)
+    if not verify(eq, sol):
+        raise RuntimeError("oracle witness fails verification")
+    return sol
 
 
 def saturation_length(spec: GroupSpec):
@@ -492,60 +507,27 @@ def saturation_length(spec: GroupSpec):
     solvable; None when no such L exists (detected by cycling without full
     coverage, or by the |G|^3 iteration bound)."""
     tab = conjugacy_classes(spec)
-    elems, index = tab.elems, tab.index
-    n = len(elems)
-    ident_i = index[spec.identity()]
-    nontrivial = [cls for cls in tab.classes if cls != [ident_i]]
+    ident_mask = tab.ident_mask
+    nontrivial = [b for b in range(len(tab.classes)) if 1 << b != ident_mask]
     if not nontrivial:
-        return 1 if n == 1 else None
-    # bitmask state: set of reachable product-sets over all constant choices
-    mul_row = {}
-
-    def step(mask, cls):
-        out = 0
-        for v in range(n):
-            if mask >> v & 1:
-                row = mul_row.get(v)
-                if row is None:
-                    gv = elems[v]
-                    row = [index[gv * g] for g in elems]
-                    mul_row[v] = row
-                for u in cls:
-                    out |= 1 << row[u]
-        return out
-
-    full = (1 << n) - 1
-    states = set()
-    for cls in nontrivial:
-        m = 0
-        for u in cls:
-            m |= 1 << u
-        states.add(m)
+        return 1
+    # state: the set of reachable class masks over all constant choices.
+    # The states evolve deterministically, so a repeat means a cycle; the
+    # full mask maps to itself, so saturation shows up as a repeat too.
+    states = {1 << b for b in nontrivial}
     seen = {}
     history = []
-    bound = n**3
-    for length in range(1, bound + 1):
-        good = all(s >> ident_i & 1 for s in states)
-        history.append(good)
-        if states == {full}:
-            # saturated forever; the least L is just past the last bad length
-            last_bad = max((i + 1 for i, g in enumerate(history) if not g),
-                           default=0)
-            return last_bad + 1
+    for length in range(1, len(tab.elems)**3 + 1):
+        history.append(all(s & ident_mask for s in states))
         key = frozenset(states)
         if key in seen:
-            start = seen[key]
-            if all(history[start - 1:]):
-                last_bad = max((i + 1 for i, g in enumerate(history) if not g),
-                               default=0)
-                return last_bad + 1
-            return None
+            if not all(history[seen[key] - 1:]):
+                return None
+            # the least L is just past the last bad length
+            return 1 + max((i + 1 for i, good in enumerate(history)
+                            if not good), default=0)
         seen[key] = length
-        nxt = set()
-        for s in states:
-            for cls in nontrivial:
-                nxt.add(step(s, cls))
-        states = nxt
+        states = {tab.step(s, b) for s in states for b in nontrivial}
     return None
 
 

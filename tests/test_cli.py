@@ -1,9 +1,11 @@
 import io
+import itertools
 import json
 
 import pytest
 
 from spherical import cli
+from spherical.core import GroupSpec
 
 
 def run(argv, payload=None, monkeypatch=None, capsys=None):
@@ -191,3 +193,46 @@ def test_exit_code_capacity(monkeypatch, capsys):
                "constants": [{"n": 9, "images": list(range(2, 10)) + [1]}]}
     code, _ = run(["oracle"], payload, monkeypatch, capsys)
     assert code == 3
+
+
+def test_sl2p_answers_stay_in_sl2p(monkeypatch, capsys):
+    def eq(constants):
+        return {"group": {"family": "sl2p", "p": 5},
+                "constants": [{"rows": rows} for rows in constants]}
+
+    code, out = run(["decide"], eq([[[1, 1], [0, 1]], [[1, -2], [0, 1]]]),
+                    monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out) == {"method": "cayley-dp", "solvable": False}
+    els = GroupSpec("sl2p", p=5).elements()
+    solved = 0
+    for x, y in itertools.product(els, repeat=2):
+        code, out = run(["solve"], eq([[[x.a, x.b], [x.c, x.d]],
+                                       [[y.a, y.b], [y.c, y.d]]]),
+                        monkeypatch, capsys)
+        assert code == 0
+        rep = json.loads(out)
+        if rep["solvable"]:
+            solved += 1
+            for z in rep["conjugators"]:
+                (a, b), (c, d) = z["rows"]
+                assert (a * d - b * c) % 5 == 1
+    assert solved > 0
+
+
+def test_sl2p_above_cap_is_capacity(monkeypatch, capsys):
+    payload = {"group": {"family": "sl2p", "p": 23},
+               "constants": [{"rows": [[1, 1], [0, 1]]}]}
+    code, out = run(["decide"], payload, monkeypatch, capsys)
+    assert code == 3 and out == ""
+
+
+def test_semidirect_vec_length(monkeypatch, capsys):
+    payload = {"group": {"family": "semidirect", "m": 3, "k": 2},
+               "constants": [{"vec": [1], "sign": 1},
+                             {"vec": [1, 1], "sign": 1}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["decide"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: vec has length 1")
+    assert err.count("\n") == 1

@@ -224,3 +224,57 @@ def test_abelian_criterion_property(n, data):
             for _ in range(k)]
     eq = SphericalEquation(spec, [core.CayleyElement(i, tab) for i in idxs])
     assert decide_cayley(eq) == (sum(idxs) % n == 0)
+
+
+def test_associativity_check_is_exact_above_64():
+    # Z_66 with the intercalate at rows/columns {1, 34} swapped: still a
+    # Latin square with identity 0, but no longer associative
+    mul = cyclic_table(66)
+    a, b = mul[1][1], mul[1][34]
+    mul[1][1] = mul[34][34] = b
+    mul[1][34] = mul[34][1] = a
+    with pytest.raises(BadTableError):
+        CayleyTable(mul)
+    assert CayleyTable(cyclic_table(66)).n == 66
+
+
+def _reachable_products(spec, constants, conjugates):
+    """Every product prod z_i^-1 c_i z_i over every conjugator tuple."""
+    reach = {spec.identity()}
+    for c in constants:
+        reach = {v * u for v in reach for u in conjugates[c]}
+    return reach
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "D4", "A4"])
+def test_class_dp_matches_conjugator_enumeration(name, q8_spec):
+    spec = {"S3": GroupSpec("symmetric", n=3), "Q8": q8_spec,
+            "D4": GroupSpec("dihedral", n=4),
+            "A4": GroupSpec("alternating", n=4)}[name]
+    els = spec.elements()
+    conjugates = {c: {z.inverse() * c * z for z in els} for c in els}
+    one = spec.identity()
+    for k in (1, 2, 3):
+        for cs in itertools.product(els, repeat=k):
+            eq = SphericalEquation(spec, list(cs))
+            want = one in _reachable_products(spec, cs, conjugates)
+            assert decide_cayley(eq) == want, cs
+            sol = solve_brute(eq)
+            assert (sol is not None) == want, cs
+            if sol is not None:
+                assert verify(eq, sol)
+
+
+@pytest.mark.parametrize("spec, length", [
+    (GroupSpec("alternating", n=5), 4),
+    (GroupSpec("alternating", n=6), 4),
+    (GroupSpec("alternating", n=4), None),
+    (GroupSpec("symmetric", n=4), None),
+    (GroupSpec("symmetric", n=5), None),
+    (GroupSpec("dihedral", n=5), None),
+    (GroupSpec("sl2p", p=3), None),
+    (GroupSpec("sl2p", p=5), None),
+    (GroupSpec("gl2p", p=3), None),
+])
+def test_saturation_lengths(spec, length):
+    assert saturation_length(spec) == length
