@@ -8,6 +8,7 @@ completed (whatever the verdict), 2 is an input error, 3 a capacity error,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,8 +34,15 @@ _INPUT_ERRORS = (
 
 
 def decode_group(obj) -> GroupSpec:
-    return GroupSpec(obj["family"], n=obj.get("n"), p=obj.get("p"),
-                     m=obj.get("m"), k=obj.get("k"), table=obj.get("table"))
+    if not isinstance(obj, dict):
+        raise MalformedElementError("a group must be a JSON object")
+    ints = {key: obj.get(key) for key in ("n", "p", "m", "k")}
+    for key, val in ints.items():
+        # bool is an int subclass, and a float p reaches pow() as a modulus
+        if val is not None and type(val) is not int:
+            raise MalformedElementError(
+                f"group field {key!r} must be an integer, not {val!r}")
+    return GroupSpec(obj["family"], table=obj.get("table"), **ints)
 
 
 def encode_group(spec: GroupSpec):
@@ -172,7 +180,8 @@ def _cmd_solve(args, payload):
     sol = solve(eq)
     if sol is None:
         return {"solvable": False, "method": method}
-    assert core.verify(eq, sol)
+    if not core.verify(eq, sol):
+        raise RuntimeError(f"{method} witness fails verification")
     return {"solvable": True, "method": method, "verified": True,
             "conjugators": [encode_element(eq.group, z)
                             for z in sol.conjugators]}
@@ -235,7 +244,9 @@ _VERBS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="spherical",
         description="Decide and solve spherical equations over finite groups.")
@@ -252,8 +263,22 @@ def build_parser():
     return parser
 
 
+def _parse_args(argv):
+    """Parse argv; the input path may come before or after the flags."""
+    parser = build_parser()
+    # argparse fills verb and the optional input from the first run of
+    # positionals, so a path after a flag is left over; parse_intermixed_args
+    # would take it, at several times the cost per call
+    args, rest = parser.parse_known_args(argv)
+    if args.input is None and len(rest) == 1 and not rest[0].startswith("-"):
+        args.input = rest[0]
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.input:
             with open(args.input, encoding="utf-8") as fh:

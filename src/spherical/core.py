@@ -6,7 +6,6 @@ when conjugators z_i exist with prod_i z_i^-1 c_i z_i = 1 (or = rhs).
 """
 
 import math
-from dataclasses import dataclass, field
 
 CAP = 10**4
 
@@ -115,42 +114,66 @@ class CayleyTable:
         self.n = n
 
 
-@dataclass(frozen=True)
+# GroupSpec, SphericalEquation and Solution are plain classes: importing
+# dataclasses brings in inspect and ast, about 0.85 MB in every process.
 class GroupSpec:
-    family: str
-    n: int | None = None
-    p: int | None = None
-    m: int | None = None
-    k: int | None = None
-    table: tuple | None = None
+    """A group family and its parameters, immutable and compared by value.
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise MalformedElementError(f"unknown family {self.family!r}")
+    The hash is taken once: a cayley spec is a cache key on every call, and
+    hashing its table costs O(|G|^2).
+    """
+
+    def __init__(self, family: str, n: int | None = None,
+                 p: int | None = None, m: int | None = None,
+                 k: int | None = None, table=None):
+        if family not in FAMILIES:
+            raise MalformedElementError(f"unknown family {family!r}")
         from . import numtheory
-        f = self.family
+        f = family
+        if table is not None:
+            table = tuple(tuple(row) for row in table)
         if f == "cayley":
-            if self.table is None:
+            if table is None:
                 raise MalformedElementError("cayley family needs a table")
-            object.__setattr__(self, "table",
-                               tuple(tuple(row) for row in self.table))
         elif f in ("symmetric", "alternating", "dihedral"):
-            if self.n is None or self.n < 1:
+            if n is None or n < 1:
                 raise MalformedElementError(f"{f} needs n >= 1")
         elif f == "et2n":
-            if self.n is None or self.n < 3:
+            if n is None or n < 3:
                 raise MalformedElementError("et2n needs n >= 3")
         elif f in ("gl2p", "sl2p", "tl2p", "ut4p"):
-            if self.p is None or not numtheory.is_prime(self.p):
+            if p is None or not numtheory.is_prime(p):
                 raise MalformedElementError(f"{f} needs a prime p")
         elif f == "heisenberg":
-            if self.n is None or self.n < 3:
+            if n is None or n < 3:
                 raise MalformedElementError("heisenberg needs n >= 3")
-            if self.p is None or not numtheory.is_prime(self.p):
+            if p is None or not numtheory.is_prime(p):
                 raise MalformedElementError("heisenberg needs a prime p")
         elif f == "semidirect":
-            if self.m is None or self.m < 2 or self.k is None or self.k < 1:
+            if m is None or m < 2 or k is None or k < 1:
                 raise MalformedElementError("semidirect needs m >= 2, k >= 1")
+        key = (family, n, p, m, k, table)
+        vars(self).update(family=family, n=n, p=p, m=m, k=k, table=table,
+                          _key=key, _hash=hash(key))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupSpec is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is GroupSpec and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = zip(("family", "n", "p", "m", "k", "table"), self._key)
+        return "GroupSpec(" + ", ".join(
+            f"{name}={val!r}" for name, val in fields if val is not None) + ")"
+
+    def __reduce__(self):
+        # rebuild through __init__: the stored string hash and the memoised
+        # tables hold in this process only
+        return (GroupSpec, self._key)
 
     def order(self) -> int:
         f = self.family
@@ -179,11 +202,8 @@ class GroupSpec:
         raise MalformedElementError(f)
 
     def _cayley_table(self):
-        tab = _table_cache.get(self)
-        if tab is None:
-            tab = CayleyTable([list(row) for row in self.table])
-            _table_cache[self] = tab
-        return tab
+        return _memo(self, "cayley",
+                     lambda s: CayleyTable([list(row) for row in s.table]))
 
     def identity(self):
         f = self.family
@@ -277,23 +297,47 @@ class GroupSpec:
         raise MalformedElementError(f)
 
 
-_table_cache: dict = {}
+# GroupSpec -> {name: table built for it}, shared by equal specs across
+# calls.  A spec enters only once one of its tables is built, so the specs
+# that closed forms handle are never kept.
+_group_cache: dict = {}
 
 
-@dataclass
+def _memo(spec, name, build):
+    """build(spec), kept for spec and every spec equal to it.  The instance
+    holds its entry of _group_cache, so each instance looks the cache up (and
+    compares its table in full) at most once."""
+    tables = vars(spec).get("_tables")
+    if tables is None:
+        tables = vars(spec)["_tables"] = _group_cache.get(spec, {})
+    val = tables.get(name)
+    if val is None:
+        val = tables[name] = build(spec)
+        _group_cache[spec] = tables
+    return val
+
+
 class SphericalEquation:
-    group: GroupSpec
-    constants: list
-    rhs: object = None
+    def __init__(self, group: GroupSpec, constants: list, rhs=None):
+        self.group = group
+        self.constants = constants
+        self.rhs = rhs
+
+    def __repr__(self):
+        return (f"SphericalEquation({self.group!r}, {self.constants!r}, "
+                f"{self.rhs!r})")
 
     def length(self) -> int:
         ident = self.group.identity()
         return sum(1 for c in self.constants if c != ident)
 
 
-@dataclass
 class Solution:
-    conjugators: list
+    def __init__(self, conjugators: list):
+        self.conjugators = conjugators
+
+    def __repr__(self):
+        return f"Solution({self.conjugators!r})"
 
 
 def normalize(eq: SphericalEquation) -> SphericalEquation:
@@ -431,15 +475,8 @@ class ConjClassTable:
         return self.witness[i].inverse() * self.witness[j]
 
 
-_class_cache: dict = {}
-
-
 def conjugacy_classes(spec: GroupSpec) -> ConjClassTable:
-    tab = _class_cache.get(spec)
-    if tab is None:
-        tab = ConjClassTable(spec)
-        _class_cache[spec] = tab
-    return tab
+    return _memo(spec, "classes", ConjClassTable)
 
 
 def _class_signature(tab: ConjClassTable, eq: SphericalEquation):

@@ -236,3 +236,101 @@ def test_semidirect_vec_length(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: vec has length 1")
     assert err.count("\n") == 1
+
+
+def test_input_path_before_or_after_flags(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(gl2_eq(101, [[[3, 1], [4, 9]],
+                                            [[2, 6], [5, 3]],
+                                            [[9, 7], [9, 3]]])))
+    outs = []
+    for argv in (["solve", str(path), "--seed", "3"],
+                 ["solve", "--seed", "3", str(path)]):
+        code, out = run(argv, None, monkeypatch, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and "solvable" in json.loads(outs[0])
+    for argv in (["solve", str(path), "extra"],
+                 ["solve", "--seed", "3", str(path), "extra"],
+                 ["solve", "--seed", "3", "--bogus", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cached_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
+    payload = {"group": {"family": "dihedral", "n": 4},
+               "constants": [{"k": 1, "delta": 1}, {"k": 3, "delta": 1}]}
+    _, out = run(["decide", "--force-oracle"], payload, monkeypatch, capsys)
+    assert json.loads(out)["method"] == "cayley-dp"
+    _, out = run(["decide"], payload, monkeypatch, capsys)
+    assert json.loads(out)["method"] == "dihedral-criterion"
+    dest = tmp_path / "report.json"
+    code, out = run(["decide", "--out", str(dest)], payload, monkeypatch,
+                    capsys)
+    assert code == 0 and out == "" and dest.exists()
+    dest.unlink()
+    code, out = run(["decide"], payload, monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["solvable"]
+    assert not dest.exists()
+
+
+def test_solve_witness_gate_is_not_an_assert(monkeypatch, capsys):
+    payload = {"group": {"family": "dihedral", "n": 5},
+               "constants": [{"k": 1, "delta": 1}, {"k": 4, "delta": 1}]}
+    monkeypatch.setattr(cli.core, "verify", lambda eq, sol: False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    with pytest.raises(RuntimeError, match="witness fails verification"):
+        cli.main(["solve"])
+
+
+@pytest.mark.parametrize("group, field", [
+    ({"family": "symmetric", "n": True}, "'n'"),
+    ({"family": "gl2p", "p": 7.0}, "'p'"),
+    ({"family": "semidirect", "m": "3", "k": 2}, "'m'"),
+    ({"family": "semidirect", "m": 3, "k": [2]}, "'k'"),
+])
+def test_group_fields_must_be_integers(group, field, monkeypatch, capsys):
+    payload = {"group": group, "constants": []}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["decide"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: group field {field}")
+    assert err.count("\n") == 1
+
+
+def test_saturation_of_a_non_object_is_input_error(monkeypatch, capsys):
+    code, out = run(["saturation"], [3], monkeypatch, capsys)
+    assert code == 2 and out == ""
+
+
+def test_repeated_cayley_group_builds_one_table(monkeypatch):
+    built = []
+
+    class CountingTable(cli.core.CayleyTable):
+        def __init__(self, mul):
+            built.append(len(mul))
+            super().__init__(mul)
+
+    monkeypatch.setattr(cli.core, "CayleyTable", CountingTable)
+    monkeypatch.setattr(cli.core, "_group_cache", {})
+    table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    payload = {"group": {"family": "cayley", "table": table},
+               "constants": [{"idx": 1}, {"idx": 5}], "rhs": {"idx": 0}}
+    first = cli.decode_equation(json.loads(json.dumps(payload)))
+    assert cli.core.decide_cayley(first) and built == [6]
+    second = cli.decode_equation(json.loads(json.dumps(payload)))
+    assert second.group is not first.group
+    assert cli.core.decide_cayley(second) and built == [6]
+
+
+def test_closed_form_leaves_the_group_cache_alone(monkeypatch, capsys):
+    before = len(cli.core._group_cache)
+    p = 1000003  # a prime no other test uses
+    payload = gl2_eq(p, [[[2, 1], [1, 1]], [[1, 1], [1, 2]]])
+    for verb in ("decide", "solve"):
+        code, _ = run([verb], payload, monkeypatch, capsys)
+        assert code == 0
+    assert len(cli.core._group_cache) == before

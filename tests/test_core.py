@@ -278,3 +278,34 @@ def test_class_dp_matches_conjugator_enumeration(name, q8_spec):
 ])
 def test_saturation_lengths(spec, length):
     assert saturation_length(spec) == length
+
+
+def test_spec_from_list_or_tuple_table_is_one_key():
+    rows = cyclic_table(5)
+    a = GroupSpec("cayley", table=rows)
+    b = GroupSpec("cayley", table=tuple(tuple(r) for r in rows))
+    assert a == b and hash(a) == hash(b)
+    assert a != spec_zn(6) and {a: 1}[b] == 1
+    with pytest.raises(AttributeError):
+        a.table = None  # the stored hash would go stale
+
+
+def test_spec_memoises_its_tables():
+    spec = spec_zn(7)
+    tab = conjugacy_classes(spec)
+    assert conjugacy_classes(spec) is tab
+    assert spec._cayley_table() is tab.elems[0].table
+    # an equal spec built later shares the tables
+    again = spec_zn(7)
+    assert conjugacy_classes(again) is tab
+
+
+def test_spec_pickle_rebuilds_hash_and_drops_memos():
+    import pickle
+    spec = spec_zn(4)
+    conjugacy_classes(spec)
+    # a stored hash from another process must not come back with the spec
+    object.__setattr__(spec, "_hash", 12345)
+    loaded = pickle.loads(pickle.dumps(spec))
+    assert loaded == spec and hash(loaded) == hash(spec_zn(4)) != 12345
+    assert "_tables" not in vars(loaded)
