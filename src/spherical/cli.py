@@ -56,29 +56,51 @@ def encode_group(spec: GroupSpec):
     return out
 
 
+def _int(obj, key):
+    val = obj[key]
+    # bool is an int subclass, so {"idx": true} would pass for 1
+    if type(val) is not int:
+        raise MalformedElementError(
+            f"element field {key!r} must be an integer, not {val!r}")
+    return val
+
+
+def _ints(key, vals):
+    """vals, which must be a list of integers, from element field key."""
+    if type(vals) is not list or not set(map(type, vals)) <= {int}:
+        raise MalformedElementError(
+            f"element field {key!r} must be a list of integers, not {vals!r}")
+    return vals
+
+
 def decode_element(spec: GroupSpec, obj):
     f = spec.family
     if f == "cayley":
-        return core.CayleyElement(obj["idx"], spec._cayley_table())
+        return core.CayleyElement(_int(obj, "idx"), spec._cayley_table())
     if f in ("symmetric", "alternating"):
-        return perm.Permutation(obj["images"])
+        return perm.Permutation(_ints("images", obj["images"]))
     if f == "dihedral":
-        return dihedral.DihedralElement(obj["k"], obj["delta"], spec.n)
+        return dihedral.DihedralElement(_int(obj, "k"), _int(obj, "delta"),
+                                        spec.n)
     if f == "et2n":
-        return dihedral.Et2Element(obj["e1"], obj["b"], obj["e2"], spec.n)
+        return dihedral.Et2Element(_int(obj, "e1"), _int(obj, "b"),
+                                   _int(obj, "e2"), spec.n)
     if f in ("gl2p", "sl2p", "tl2p"):
         (a, b), (c, d) = obj["rows"]
+        _ints("rows", [a, b, c, d])
         return mat2.Mat2(spec.p, a, b, c, d)
     if f == "heisenberg":
-        return highdim.HeisenbergElement(obj["alpha1"], obj["a2"],
-                                         obj["alpha3"], spec.n, spec.p)
+        return highdim.HeisenbergElement(
+            _ints("alpha1", obj["alpha1"]), _int(obj, "a2"),
+            _ints("alpha3", obj["alpha3"]), spec.n, spec.p)
     if f == "ut4p":
-        return highdim.UT4Element(spec.p, obj["entries"])
+        return highdim.UT4Element(spec.p, _ints("entries", obj["entries"]))
     if f == "semidirect":
-        if len(obj["vec"]) != spec.k:
+        vec = _ints("vec", obj["vec"])
+        if len(vec) != spec.k:
             raise MalformedElementError(
-                f"vec has length {len(obj['vec'])}, the group has k = {spec.k}")
-        return semidirect.SemidirectElement(obj["vec"], obj["sign"], spec.m)
+                f"vec has length {len(vec)}, the group has k = {spec.k}")
+        return semidirect.SemidirectElement(vec, _int(obj, "sign"), spec.m)
     raise MalformedElementError(f)
 
 
@@ -156,7 +178,7 @@ def _route(eq, force_oracle, rng):
         if all(c.sign == 1 for c in eq.constants) and (
                 eq.rhs is None or eq.rhs.sign == 1):
             return ("semidirect-signvector", semidirect.decide_signvector,
-                    None)
+                    semidirect.solve_signvector)
         return "cayley-dp", core.decide_cayley, core.solve_brute
     raise MalformedElementError(f)
 
@@ -171,12 +193,7 @@ def _cmd_decide(args, payload):
 def _cmd_solve(args, payload):
     eq = decode_equation(payload)
     rng = numtheory.Rng(args.seed)
-    method, decide, solve = _route(eq, args.force_oracle, rng)
-    if solve is None:  # decision-only procedure: fall back for a witness
-        if decide(eq):
-            method, solve = "brute", core.solve_brute
-        else:
-            return {"solvable": False, "method": method}
+    method, _, solve = _route(eq, args.force_oracle, rng)
     sol = solve(eq)
     if sol is None:
         return {"solvable": False, "method": method}

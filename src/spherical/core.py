@@ -65,6 +65,9 @@ class CayleyTable:
             raise BadTableError("table is not square")
         full = set(range(n))
         for row in mul:
+            # True == 1 and 1.0 == 1, so a row of bools or floats would pass
+            if set(map(type, row)) != {int}:
+                raise BadTableError("table entries must be integers")
             if set(row) != full:
                 raise BadTableError("row is not a permutation")
         for j in range(n):
@@ -578,3 +581,57 @@ def direct_product(a: GroupSpec, b: GroupSpec) -> GroupSpec:
     table = [[index[(x1 * x2, y1 * y2)] for (x2, y2) in pairs]
              for (x1, y1) in pairs]
     return GroupSpec("cayley", table=tuple(tuple(r) for r in table))
+
+
+def signed_sum_signs(vecs, target, m):
+    """Signs e_i = +-1 with sum_i e_i vecs[i] = target componentwise mod m,
+    as a tuple, or None when no choice of signs works.
+
+    Meet in the middle (Horowitz and Sahni): the signed sums of the first
+    half are joined on equality with target minus the signed sums of the
+    second half.  Each half is built one vector at a time and deduplicated
+    as it grows, keeping one sign choice per sum, so it holds at most
+    min(2^(count/2), m^dim) sums and costs about 2 * 2^(count/2) vector
+    additions instead of 2^count.
+    """
+    # A vector is one int with a field of b bits per coordinate holding a
+    # residue.  Adding an addend whose fields lie in 0..m keeps every field
+    # below 2m; adding off sets a field's top bit exactly when it reached m,
+    # and those fields then drop m, with no carry between fields.
+    b = m.bit_length() + 1
+    ones = ((1 << b * len(target)) - 1) // ((1 << b) - 1)
+    off = ones * ((1 << (b - 1)) - m)
+    top = ones << (b - 1)
+
+    def pack(v):
+        return sum(x % m << b * j for j, x in enumerate(v))
+
+    def sums(start, pairs):
+        """{start + one addend of each pair: bitmask of the second picks}"""
+        reach = {start: 0}
+        for i, (plus, minus) in enumerate(pairs):
+            bit = 1 << i
+            nxt = {}
+            for s, mask in reach.items():
+                t = s + plus
+                t -= ((t + off & top) >> (b - 1)) * m
+                if t not in nxt:
+                    nxt[t] = mask
+                t = s + minus
+                t -= ((t + off & top) >> (b - 1)) * m
+                if t not in nxt:
+                    nxt[t] = mask | bit
+            reach = nxt
+        return reach
+
+    h = len(vecs) // 2
+    # the fields of ones * m - pack(v) hold m - x, which stands for -x
+    pairs = [(p, ones * m - p) for p in map(pack, vecs)]
+    left = sums(0, pairs[:h])
+    # target - e v is target + e (-v): swapping each pair keeps bit i set
+    # exactly where e_i = -1, as in the first half
+    right = sums(pack(target), [(minus, plus) for plus, minus in pairs[h:]])
+    for s in left.keys() & right.keys():
+        mask = left[s] | right[s] << h
+        return tuple(-1 if mask >> i & 1 else 1 for i in range(len(vecs)))
+    return None

@@ -8,7 +8,7 @@ least two reflections and (n odd, or an even number of odd a_i).
 """
 
 from .core import (GroupSpec, SphericalEquation, Solution,
-                   MalformedElementError, normalize, verify)
+                   MalformedElementError, normalize, signed_sum_signs, verify)
 
 
 class DihedralElement:
@@ -87,43 +87,52 @@ def _prepare(eq: SphericalEquation):
 
 
 def _signed_sum_dp(values, n):
-    """Back-traced DP for signs e_i with sum e_i * v_i = 0 mod n, or None."""
-    parent = {0: None}
-    layers = [parent]
+    """Signs e_i = +-1 with sum e_i * v_i = 0 mod n, as a tuple, or None.
+
+    Dense inputs run a bitset DP: layer j holds the residues reachable with
+    the first j values as an n-bit int, the next layer is that int rotated
+    by +v and by -v, and the trace back from residue 0 tests one bit per
+    layer.  That costs count * n / 64 machine words, while meet in the
+    middle costs about 2^(count/2) dict steps, so the bitset runs when
+    2^(count/2) * 64 >= n and the meet in the middle otherwise (few values
+    modulo a large n).
+    """
+    if 4096 << len(values) < n * n:
+        return signed_sum_signs([(v,) for v in values], (0,), n)
+    full = (1 << n) - 1
+    layers = [1]
     for v in values:
-        nxt = {}
-        for r in layers[-1]:
-            for e in (1, -1):
-                r2 = (r + e * v) % n
-                if r2 not in nxt:
-                    nxt[r2] = (r, e)
-        layers.append(nxt)
-    if 0 not in layers[-1]:
+        v %= n
+        reach = layers[-1]
+        layers.append((reach << v | reach >> (n - v)
+                       | reach >> v | reach << (n - v)) & full)
+    if not layers[-1] & 1:
         return None
     signs = []
     r = 0
-    for j in range(len(values), 0, -1):
-        r, e = layers[j][r]
+    for j in range(len(values) - 1, -1, -1):
+        e = 1 if layers[j] >> (r - values[j]) % n & 1 else -1
+        r = (r - e * values[j]) % n
         signs.append(e)
-    signs.reverse()
-    return signs
+    return tuple(reversed(signs))
 
 
-def decide_dn(eq: SphericalEquation) -> bool:
-    eqn, n = _prepare(eq)
-    cs = eqn.constants
-    if not cs:
-        return True
+def _reflections_solvable(cs, n):
+    """The criterion for constants that include a reflection."""
     prod_delta = 1
     for c in cs:
         prod_delta *= c.delta
     if prod_delta != 1:
         return False
+    return n % 2 == 1 or sum(c.k % 2 for c in cs) % 2 == 0
+
+
+def decide_dn(eq: SphericalEquation) -> bool:
+    eqn, n = _prepare(eq)
+    cs = eqn.constants
     if all(c.delta == 1 for c in cs):
         return _signed_sum_dp([c.k for c in cs], n) is not None
-    if n % 2 == 1:
-        return True
-    return sum(c.k % 2 for c in cs) % 2 == 0
+    return _reflections_solvable(cs, n)
 
 
 def solve_dn(eq: SphericalEquation):
@@ -137,11 +146,13 @@ def solve_dn(eq: SphericalEquation):
     """
     eqn, n = _prepare(eq)
     cs = eqn.constants
-    if not decide_dn(eq):
-        return None
     if all(c.delta == 1 for c in cs):
         signs = _signed_sum_dp([c.k for c in cs], n)
+        if signs is None:
+            return None
         zs = [DihedralElement(0, e, n) for e in signs]
+    elif not _reflections_solvable(cs, n):
+        return None
     else:
         total = sum(c.k for c in cs) % n
         # 2h = total mod n: n odd inverts 2; n even has total even here

@@ -5,11 +5,12 @@
 Deciding spherical equations over this family is NP-complete for fixed
 m = 3 or m >= 5, shown by a reduction from exact set cover with subsets of
 size at most three.  Conjugation can only flip the sign of a vector part,
-so for sign-+1 constants an exact decision is a 2^count sign enumeration.
+so for sign-+1 constants deciding and solving are a search for signs, done
+by meet in the middle.
 """
 
 from .core import (GroupSpec, SphericalEquation, Solution, TooLargeError,
-                   MalformedElementError, verify)
+                   MalformedElementError, signed_sum_signs, verify)
 from .perm import MalformedInstanceError, InvalidCertificateError
 
 
@@ -17,7 +18,7 @@ class UnsupportedShapeError(ValueError):
     pass
 
 
-SIGN_CAP = 24
+SIGN_CAP = 32
 
 
 class SemidirectElement:
@@ -95,43 +96,45 @@ def reduce_xcover(k, subsets, m) -> SphericalEquation:
     return SphericalEquation(spec, constants, rhs)
 
 
-def decide_signvector(eq: SphericalEquation) -> bool:
-    """Exact decision for equations whose constants all have sign +1.
+def _signs(eq: SphericalEquation):
+    """Signs e_i with sum e_i a_i = target componentwise mod m, for
+    equations whose constants all have sign +1, or None.
 
-    A conjugate of (a, 1) is (a, 1) or (-a, 1) and nothing else, so the
-    equation holds iff some choice of signs e_i gives sum e_i a_i = target
-    componentwise mod m.
+    A conjugate of (a, 1) is (a, 1) or (-a, 1) and nothing else, and
+    conjugates with sign +1 commute, so the equation holds iff such signs
+    exist.
     """
     if eq.group.family != "semidirect":
         raise MalformedElementError("expected a semidirect equation")
     if any(c.sign != 1 for c in eq.constants):
         raise UnsupportedShapeError("constants must all have sign +1")
-    m = eq.group.m
-    dim = eq.group.k
     if eq.rhs is not None and eq.rhs.sign != 1:
-        return False
-    target = eq.rhs.vec if eq.rhs is not None else (0,) * dim
+        return None
+    target = eq.rhs.vec if eq.rhs is not None else (0,) * eq.group.k
     count = len(eq.constants)
     if count > SIGN_CAP:
         raise TooLargeError(f"{count} constants exceeds the 2^{SIGN_CAP} cap")
-    vecs = [c.vec for c in eq.constants]
-    # walk sign vectors in Gray-code order, updating the running sum by one
-    # flipped constant per step
-    cur = [sum(v[j] for v in vecs) % m for j in range(dim)]
-    flipped = [False] * count
-    step = 0
-    while True:
-        if all(cur[j] == target[j] for j in range(dim)):
-            return True
-        step += 1
-        if step >= 1 << count:
-            return False
-        b = (step & -step).bit_length() - 1
-        d = 2 if flipped[b] else -2
-        flipped[b] = not flipped[b]
-        v = vecs[b]
-        for j in range(dim):
-            cur[j] = (cur[j] + d * v[j]) % m
+    return signed_sum_signs([c.vec for c in eq.constants], target,
+                            eq.group.m)
+
+
+def decide_signvector(eq: SphericalEquation) -> bool:
+    """Exact decision for equations whose constants all have sign +1."""
+    return _signs(eq) is not None
+
+
+def solve_signvector(eq: SphericalEquation):
+    """Conjugators for equations whose constants all have sign +1, or None.
+
+    z_i is the identity where e_i = +1 and beta = (0, -1) where e_i = -1,
+    since beta^-1 (a, 1) beta = (-a, 1).
+    """
+    signs = _signs(eq)
+    if signs is None:
+        return None
+    ident = eq.group.identity()
+    beta = SemidirectElement((0,) * eq.group.k, -1, eq.group.m)
+    return Solution([ident if e == 1 else beta for e in signs])
 
 
 def certificate_to_solution(k, subsets, m, cert) -> Solution:

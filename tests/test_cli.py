@@ -155,10 +155,32 @@ def test_semidirect_routing(monkeypatch, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep == {"method": "semidirect-signvector", "solvable": True}
-    # a witness still comes out of solve (via the oracle fallback)
+    # the sign vector is the witness: solve takes the same route
     code, out = run(["solve"], payload, monkeypatch, capsys)
     rep = json.loads(out)
-    assert rep["solvable"] and rep["method"] == "brute" and rep["verified"]
+    assert rep["solvable"] and rep["verified"]
+    assert rep["method"] == "semidirect-signvector"
+
+
+def test_reduce_xcover_then_solve(monkeypatch, capsys):
+    # |G| = 2 * 3^8 = 13122 is above the oracle's cap
+    code, out = run(["reduce", "--from", "xcover"],
+                    {"k": 4, "subsets": [[1, 2], [3, 4], [1, 3], [2, 4]],
+                     "m": 3}, monkeypatch, capsys)
+    assert code == 0
+    code, out = run(["solve"], json.loads(out), monkeypatch, capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["solvable"] and rep["verified"]
+    assert rep["method"] == "semidirect-signvector"
+
+
+def test_sign_cap_is_capacity(monkeypatch, capsys):
+    payload = {"group": {"family": "semidirect", "m": 3, "k": 1},
+               "constants": [{"vec": [1], "sign": 1}] * 33}
+    for verb in ("decide", "solve"):
+        code, out = run([verb], payload, monkeypatch, capsys)
+        assert code == 3 and out == ""
 
 
 def test_method_names_by_length(monkeypatch, capsys):
@@ -299,6 +321,50 @@ def test_group_fields_must_be_integers(group, field, monkeypatch, capsys):
     assert out == ""
     assert err.startswith(f"input error: group field {field}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group, element, field", [
+    ({"family": "cayley", "table": [[0, 1], [1, 0]]}, {"idx": True}, "'idx'"),
+    ({"family": "gl2p", "p": 7}, {"rows": [[1.5, 0], [0, 1]]}, "'rows'"),
+    ({"family": "dihedral", "n": 5}, {"k": True, "delta": 1}, "'k'"),
+    ({"family": "dihedral", "n": 5}, {"k": 1, "delta": -1.0}, "'delta'"),
+    ({"family": "et2n", "n": 5}, {"e1": 1, "b": "2", "e2": 1}, "'b'"),
+    ({"family": "symmetric", "n": 2}, {"images": [2, True]}, "'images'"),
+    ({"family": "heisenberg", "n": 3, "p": 5},
+     {"alpha1": [1], "a2": 0.0, "alpha3": [1]}, "'a2'"),
+    ({"family": "heisenberg", "n": 3, "p": 5},
+     {"alpha1": [1], "a2": 0, "alpha3": 1}, "'alpha3'"),
+    ({"family": "ut4p", "p": 5}, {"entries": [0, 0, 0, 0, 0, False]},
+     "'entries'"),
+    ({"family": "semidirect", "m": 3, "k": 2}, {"vec": [1, 1.0], "sign": 1},
+     "'vec'"),
+    ({"family": "semidirect", "m": 3, "k": 2}, {"vec": [1, 1], "sign": True},
+     "'sign'"),
+])
+def test_element_fields_must_be_integers(group, element, field, monkeypatch,
+                                         capsys):
+    payload = {"group": group, "constants": [element, element]}
+    for verb in ("decide", "solve"):
+        code, out = run([verb], payload, monkeypatch, capsys)
+        assert code == 2 and out == ""
+    payload["constants"] = []
+    payload["rhs"] = element
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["decide"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: element field {field}")
+    assert err.count("\n") == 1
+
+
+def test_table_entries_must_be_integers(monkeypatch, capsys):
+    # the check runs when a table is built; an equal int table built earlier
+    # in this process would be reused, since True == 1 and hash(True) == 1
+    monkeypatch.setattr(cli.core, "_group_cache", {})
+    payload = {"group": {"family": "cayley", "table": [[False, True],
+                                                       [True, False]]},
+               "constants": [{"idx": 1}, {"idx": 1}]}
+    code, out = run(["solve"], payload, monkeypatch, capsys)
+    assert code == 2 and out == ""
 
 
 def test_saturation_of_a_non_object_is_input_error(monkeypatch, capsys):

@@ -9,7 +9,8 @@ from spherical.core import (GroupSpec, SphericalEquation, Solution,
                             BadTableError, TooLargeError, CayleyTable,
                             conjugacy_classes, decide_cayley, solve_brute,
                             normalize, reorder_equiv, verify,
-                            saturation_length, direct_product)
+                            saturation_length, direct_product,
+                            signed_sum_signs)
 
 from conftest import q8_mul_table, cyclic_table
 
@@ -34,6 +35,11 @@ def test_cayley_table_validation():
         ])
     tab = CayleyTable(q8_mul_table())
     assert tab.ident == 0 and tab.n == 8
+    # True == 1 and 1.0 == 1, so these equal a valid Z2 table entry by entry
+    with pytest.raises(BadTableError, match="integers"):
+        CayleyTable([[False, True], [True, False]])
+    with pytest.raises(BadTableError, match="integers"):
+        CayleyTable([[0, 1.0], [1, 0]])
 
 
 def test_group_spec_validation():
@@ -309,3 +315,34 @@ def test_spec_pickle_rebuilds_hash_and_drops_memos():
     loaded = pickle.loads(pickle.dumps(spec))
     assert loaded == spec and hash(loaded) == hash(spec_zn(4)) != 12345
     assert "_tables" not in vars(loaded)
+
+
+def _signed_sums(vecs, m):
+    """{sum mod m: one sign vector reaching it}, over every sign vector."""
+    dim = len(vecs[0]) if vecs else 0
+    out = {}
+    for signs in itertools.product((1, -1), repeat=len(vecs)):
+        s = tuple(sum(e * v[j] for e, v in zip(signs, vecs)) % m
+                  for j in range(dim))
+        out.setdefault(s, signs)
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_signed_sum_signs_matches_every_sign_vector(m):
+    r = random.Random(m)
+    for dim in range(1, 5):
+        for count in range(11):
+            vecs = [tuple(r.randrange(-m, 2 * m) for _ in range(dim))
+                    for _ in range(count)]
+            reach = _signed_sums(vecs, m) if count else {(0,) * dim: ()}
+            targets = [(0,) * dim, r.choice(sorted(reach))]
+            targets += [tuple(r.randrange(m) for _ in range(dim))
+                        for _ in range(3)]
+            for target in targets:
+                got = signed_sum_signs(vecs, target, m)
+                assert (got is not None) == (target in reach), (vecs, target)
+                if got is not None:
+                    assert len(got) == count and set(got) <= {1, -1}
+                    assert all((sum(e * v[j] for e, v in zip(got, vecs))
+                                - target[j]) % m == 0 for j in range(dim))

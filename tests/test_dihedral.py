@@ -5,6 +5,7 @@ import pytest
 
 from spherical.core import (GroupSpec, SphericalEquation, conjugacy_classes,
                             decide_cayley, solve_brute, verify)
+from spherical import dihedral
 from spherical.dihedral import (DihedralElement, Et2Element, decide_dn,
                                 solve_dn, reduce_partition, embed_et2)
 
@@ -126,3 +127,45 @@ def test_embed_et2():
         if n <= 12:
             assert len({embed_et2(d(k, s, n)) for k in range(n)
                         for s in (1, -1)}) == 2 * n  # injective
+
+
+@pytest.mark.parametrize("n, counts, bitset", [
+    (7, range(9), True),               # small dense n: always the bitset
+    (10**6, range(7), False),          # large n, few values
+    (512, (5,), False),                # 2^(5/2) * 64 < 512
+    (512, (6, 7), True),               # 2^(6/2) * 64 = 512
+    (513, (6,), False),
+    (513, (7,), True),
+])
+def test_signed_sum_dp_both_sides_of_the_switch(n, counts, bitset,
+                                                 monkeypatch):
+    calls = []
+    real = dihedral.signed_sum_signs
+    monkeypatch.setattr(dihedral, "signed_sum_signs",
+                        lambda *args: calls.append(args) or real(*args))
+    r = random.Random(n)
+    for count in counts:
+        for trial in range(40):
+            vals = [r.randrange(n) for _ in range(count)]
+            if trial % 2 and count:  # plant a zero sum
+                vals[-1] = sum(r.choice((1, -1)) * v for v in vals[:-1]) % n
+            want = any(sum(e * v for e, v in zip(signs, vals)) % n == 0
+                       for signs in itertools.product((1, -1), repeat=count))
+            calls.clear()
+            got = dihedral._signed_sum_dp(vals, n)
+            assert bool(calls) != bitset, (n, count)
+            assert (got is not None) == want, (n, vals)
+            if got is not None:
+                assert len(got) == count
+                assert sum(e * v for e, v in zip(got, vals)) % n == 0
+
+
+def test_solve_dn_runs_one_signed_sum(monkeypatch):
+    calls = []
+    real = dihedral._signed_sum_dp
+    monkeypatch.setattr(dihedral, "_signed_sum_dp",
+                        lambda vals, n: calls.append(vals) or real(vals, n))
+    eq = reduce_partition([3, 1, 2, 4])
+    assert verify(eq, solve_dn(eq)) and len(calls) == 1
+    calls.clear()
+    assert solve_dn(reduce_partition([1, 2])) is None and len(calls) == 1

@@ -7,9 +7,10 @@ from spherical.core import (GroupSpec, SphericalEquation, TooLargeError,
                             decide_cayley, verify)
 from spherical.dihedral import DihedralElement
 from spherical.perm import InvalidCertificateError, MalformedInstanceError
+from spherical import semidirect
 from spherical.semidirect import (SemidirectElement, UnsupportedShapeError,
                                   reduce_xcover, decide_signvector,
-                                  certificate_to_solution,
+                                  solve_signvector, certificate_to_solution,
                                   embed_dihedral_power)
 
 
@@ -54,13 +55,25 @@ def test_decide_signvector_examples():
     assert decide_signvector(SphericalEquation(spec, [e1, e1n]))
     assert decide_signvector(SphericalEquation(spec, [e1, e1]))  # signs (1,-1)
     assert not decide_signvector(SphericalEquation(spec, [e1]))
+    # the conjugates all have sign +1, so an rhs of sign -1 is out of reach
+    eq = SphericalEquation(spec, [e1, e1n], SemidirectElement((0, 0), -1, 5))
+    assert not decide_signvector(eq) and solve_signvector(eq) is None
     with pytest.raises(UnsupportedShapeError):
         decide_signvector(SphericalEquation(
             spec, [SemidirectElement((1, 0), -1, 5)]))
-    with pytest.raises(TooLargeError):
-        decide_signvector(SphericalEquation(
-            GroupSpec("semidirect", m=3, k=1),
-            [SemidirectElement((1,), 1, 3)] * 25))
+
+
+def test_sign_cap_is_checked_before_any_search(monkeypatch):
+    def search(*args):
+        raise AssertionError("searched past the cap")
+
+    monkeypatch.setattr(semidirect, "signed_sum_signs", search)
+    assert semidirect.SIGN_CAP == 32
+    eq = SphericalEquation(GroupSpec("semidirect", m=3, k=1),
+                           [SemidirectElement((1,), 1, 3)] * 33)
+    for fn in (decide_signvector, solve_signvector):
+        with pytest.raises(TooLargeError):
+            fn(eq)
 
 
 def test_signvector_matches_oracle():
@@ -74,7 +87,12 @@ def test_signvector_matches_oracle():
                   for _ in range(r.randrange(1, 5))]
             rhs = plus[r.randrange(len(plus))] if r.random() < 0.5 else None
             eq = SphericalEquation(spec, cs, rhs)
-            assert decide_signvector(eq) == decide_cayley(eq)
+            want = decide_cayley(eq)
+            assert decide_signvector(eq) == want
+            sol = solve_signvector(eq)
+            assert (sol is not None) == want
+            if sol is not None:
+                assert verify(eq, sol)
 
 
 def brute_cover(k, subsets):
@@ -87,7 +105,7 @@ def brute_cover(k, subsets):
 
 
 def test_reduction_soundness_exhaustive_small():
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         universe = [frozenset(s) for size in (1, 2, 3)
                     for s in itertools.combinations(range(1, k + 1), size)]
         for ell in (1, 2, 3):
@@ -99,8 +117,33 @@ def test_reduction_soundness_exhaustive_small():
                     continue
                 want = brute_cover(k, subs)
                 assert decide_signvector(eq) == (want is not None)
+                sol = solve_signvector(eq)
+                assert (sol is not None) == (want is not None)
                 if want is not None:
+                    assert verify(eq, sol)
                     assert verify(eq, certificate_to_solution(k, subs, 3, want))
+
+
+def test_xcover_with_26_constants():
+    # ground set 1..12: a planted cover by four triples and nine other
+    # subsets, each element in at most three subsets
+    cover = [{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}]
+    others = [{1, 4, 7}, {2, 5, 8}, {3, 6, 9}, {1, 10}, {2, 11}, {4, 12},
+              {5, 7}, {3, 8}, {6, 9, 10}]
+    # {11, 12} in place of {10, 11, 12} leaves no exact cover
+    missed = cover[:3] + others + [{11, 12}]
+    for subs, m in ((cover + others, 3), (missed, 5)):
+        assert len(subs) == 13
+        eq = reduce_xcover(12, subs, m)
+        assert len(eq.constants) == 26
+        want = brute_cover(12, subs)
+        assert decide_signvector(eq) == (want is not None)
+        sol = solve_signvector(eq)
+        assert (sol is not None) == (want is not None)
+        if sol is not None:
+            assert verify(eq, sol)
+    assert brute_cover(12, cover + others) is not None
+    assert brute_cover(12, missed) is None
 
 
 def test_certificate_errors():
