@@ -12,9 +12,10 @@ import functools
 import json
 import sys
 
-from . import core, dihedral, highdim, mat2, numtheory, perm, semidirect
+from . import core, dihedral, mat2, numtheory, perm, semidirect
 from .core import (GroupSpec, SphericalEquation, Solution, TooLargeError,
                    MalformedElementError, BadTableError, LengthMismatchError)
+from .families import FAMILIES
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -56,73 +57,19 @@ def encode_group(spec: GroupSpec):
     return out
 
 
-def _int(obj, key):
-    val = obj[key]
-    # bool is an int subclass, so {"idx": true} would pass for 1
-    if type(val) is not int:
-        raise MalformedElementError(
-            f"element field {key!r} must be an integer, not {val!r}")
-    return val
-
-
-def _ints(key, vals):
-    """vals, which must be a list of integers, from element field key."""
-    if type(vals) is not list or not set(map(type, vals)) <= {int}:
-        raise MalformedElementError(
-            f"element field {key!r} must be a list of integers, not {vals!r}")
-    return vals
-
-
 def decode_element(spec: GroupSpec, obj):
-    f = spec.family
-    if f == "cayley":
-        return core.CayleyElement(_int(obj, "idx"), spec._cayley_table())
-    if f in ("symmetric", "alternating"):
-        return perm.Permutation(_ints("images", obj["images"]))
-    if f == "dihedral":
-        return dihedral.DihedralElement(_int(obj, "k"), _int(obj, "delta"),
-                                        spec.n)
-    if f == "et2n":
-        return dihedral.Et2Element(_int(obj, "e1"), _int(obj, "b"),
-                                   _int(obj, "e2"), spec.n)
-    if f in ("gl2p", "sl2p", "tl2p"):
-        (a, b), (c, d) = obj["rows"]
-        _ints("rows", [a, b, c, d])
-        return mat2.Mat2(spec.p, a, b, c, d)
-    if f == "heisenberg":
-        return highdim.HeisenbergElement(
-            _ints("alpha1", obj["alpha1"]), _int(obj, "a2"),
-            _ints("alpha3", obj["alpha3"]), spec.n, spec.p)
-    if f == "ut4p":
-        return highdim.UT4Element(spec.p, _ints("entries", obj["entries"]))
-    if f == "semidirect":
-        vec = _ints("vec", obj["vec"])
-        if len(vec) != spec.k:
-            raise MalformedElementError(
-                f"vec has length {len(vec)}, the group has k = {spec.k}")
-        return semidirect.SemidirectElement(vec, _int(obj, "sign"), spec.m)
-    raise MalformedElementError(f)
+    """The element obj names, which must lie in spec's group: every
+    constant, rhs and conjugator enters through here."""
+    family = FAMILIES[spec.family]
+    el = family.decode(spec, obj)
+    if not family.contains(spec, el):
+        raise MalformedElementError(
+            f"{el!r} is not an element of the {spec.family} group")
+    return el
 
 
 def encode_element(spec: GroupSpec, el):
-    f = spec.family
-    if f == "cayley":
-        return {"idx": el.idx}
-    if f in ("symmetric", "alternating"):
-        return {"n": el.n, "images": list(el.images)}
-    if f == "dihedral":
-        return {"k": el.k, "delta": el.delta}
-    if f == "et2n":
-        return {"e1": el.e1, "b": el.b, "e2": el.e2}
-    if f in ("gl2p", "sl2p", "tl2p"):
-        return {"p": el.p, "rows": [[el.a, el.b], [el.c, el.d]]}
-    if f == "heisenberg":
-        return {"alpha1": list(el.a1), "a2": el.a2, "alpha3": list(el.a3)}
-    if f == "ut4p":
-        return {"entries": list(el.e)}
-    if f == "semidirect":
-        return {"vec": list(el.vec), "sign": el.sign}
-    raise MalformedElementError(f)
+    return FAMILIES[spec.family].encode(el)
 
 
 def decode_equation(obj) -> SphericalEquation:
@@ -142,45 +89,11 @@ def encode_equation(eq: SphericalEquation):
     return out
 
 
-def _gl2_method(eq):
-    k = len(core.normalize(eq).constants)
-    if k <= 1:
-        return "gl2-scalar"
-    if k == 2:
-        return "gl2-k2-conjugacy"
-    if k == 3:
-        return "gl2-k3-trace"
-    return "gl2-k4-fold"
-
-
 def _route(eq, force_oracle, rng):
     """(method name, decide function, solve function) for the equation."""
-    f = eq.group.family
-    # sl2p has no closed form here: the GL(2,p) one ignores how SL(2,p)
-    # splits classes, so it goes to the oracle, which raises a capacity
-    # error above CAP rather than give a GL(2,p) answer
-    if force_oracle or f in ("cayley", "symmetric", "alternating", "et2n",
-                             "sl2p"):
+    if force_oracle:
         return "cayley-dp", core.decide_cayley, core.solve_brute
-    if f == "dihedral":
-        return "dihedral-criterion", dihedral.decide_dn, dihedral.solve_dn
-    if f == "gl2p":
-        return (_gl2_method(eq), mat2.decide_gl2,
-                lambda e: mat2.solve_gl2(e, rng))
-    if f == "tl2p":
-        return "tl2-closed-form", mat2.decide_tl2, mat2.solve_tl2
-    if f == "heisenberg":
-        return ("heisenberg-closed-form", highdim.decide_heisenberg,
-                highdim.solve_heisenberg)
-    if f == "ut4p":
-        return "ut4-closed-form", highdim.decide_ut4, highdim.solve_ut4
-    if f == "semidirect":
-        if all(c.sign == 1 for c in eq.constants) and (
-                eq.rhs is None or eq.rhs.sign == 1):
-            return ("semidirect-signvector", semidirect.decide_signvector,
-                    semidirect.solve_signvector)
-        return "cayley-dp", core.decide_cayley, core.solve_brute
-    raise MalformedElementError(f)
+    return FAMILIES[eq.group.family].route(eq, rng)
 
 
 def _cmd_decide(args, payload):

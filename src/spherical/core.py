@@ -1,18 +1,11 @@
-"""Group families, spherical equations, the generic Cayley-table decision
+"""Group specs, spherical equations, the generic Cayley-table decision
 procedure, the brute-force oracle, verification, and saturation lengths.
 
 An equation is a list of constants c_i over a declared group; it is solvable
 when conjugators z_i exist with prod_i z_i^-1 c_i z_i = 1 (or = rhs).
 """
 
-import math
-
 CAP = 10**4
-
-FAMILIES = (
-    "cayley", "symmetric", "alternating", "dihedral", "gl2p", "sl2p",
-    "tl2p", "et2n", "heisenberg", "ut4p", "semidirect",
-)
 
 
 class TooLargeError(Exception):
@@ -129,35 +122,17 @@ class GroupSpec:
     def __init__(self, family: str, n: int | None = None,
                  p: int | None = None, m: int | None = None,
                  k: int | None = None, table=None):
-        if family not in FAMILIES:
+        from .families import FAMILIES
+        record = FAMILIES.get(family) if type(family) is str else None
+        if record is None:
             raise MalformedElementError(f"unknown family {family!r}")
-        from . import numtheory
-        f = family
         if table is not None:
             table = tuple(tuple(row) for row in table)
-        if f == "cayley":
-            if table is None:
-                raise MalformedElementError("cayley family needs a table")
-        elif f in ("symmetric", "alternating", "dihedral"):
-            if n is None or n < 1:
-                raise MalformedElementError(f"{f} needs n >= 1")
-        elif f == "et2n":
-            if n is None or n < 3:
-                raise MalformedElementError("et2n needs n >= 3")
-        elif f in ("gl2p", "sl2p", "tl2p", "ut4p"):
-            if p is None or not numtheory.is_prime(p):
-                raise MalformedElementError(f"{f} needs a prime p")
-        elif f == "heisenberg":
-            if n is None or n < 3:
-                raise MalformedElementError("heisenberg needs n >= 3")
-            if p is None or not numtheory.is_prime(p):
-                raise MalformedElementError("heisenberg needs a prime p")
-        elif f == "semidirect":
-            if m is None or m < 2 or k is None or k < 1:
-                raise MalformedElementError("semidirect needs m >= 2, k >= 1")
         key = (family, n, p, m, k, table)
         vars(self).update(family=family, n=n, p=p, m=m, k=k, table=table,
-                          _key=key, _hash=hash(key))
+                          _family=record, _identity=None, _key=key,
+                          _hash=hash(key))
+        record.check(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GroupSpec is immutable: cannot set {name!r}")
@@ -179,125 +154,27 @@ class GroupSpec:
         return (GroupSpec, self._key)
 
     def order(self) -> int:
-        f = self.family
-        if f == "cayley":
-            return len(self.table)
-        if f == "symmetric":
-            return math.factorial(self.n)
-        if f == "alternating":
-            return max(1, math.factorial(self.n) // 2)
-        if f == "dihedral":
-            return 2 * self.n
-        if f == "gl2p":
-            return (self.p**2 - 1) * (self.p**2 - self.p)
-        if f == "sl2p":
-            return self.p**3 - self.p
-        if f == "tl2p":
-            return self.p * (self.p - 1) ** 2
-        if f == "et2n":
-            return 4 * self.n
-        if f == "heisenberg":
-            return self.p ** (2 * (self.n - 2) + 1)
-        if f == "ut4p":
-            return self.p**6
-        if f == "semidirect":
-            return 2 * self.m**self.k
-        raise MalformedElementError(f)
+        return self._family.order(self)
 
     def _cayley_table(self):
         return _memo(self, "cayley",
                      lambda s: CayleyTable([list(row) for row in s.table]))
 
     def identity(self):
-        f = self.family
-        if f == "cayley":
-            tab = self._cayley_table()
-            return CayleyElement(tab.ident, tab)
-        if f in ("symmetric", "alternating"):
-            from .perm import Permutation
-            return Permutation.identity(self.n)
-        if f == "dihedral":
-            from .dihedral import DihedralElement
-            return DihedralElement(0, 1, self.n)
-        if f in ("gl2p", "sl2p", "tl2p"):
-            from .mat2 import Mat2
-            return Mat2(self.p, 1, 0, 0, 1)
-        if f == "et2n":
-            from .dihedral import Et2Element
-            return Et2Element(1, 0, 1, self.n)
-        if f == "heisenberg":
-            from .highdim import HeisenbergElement
-            z = (0,) * (self.n - 2)
-            return HeisenbergElement(z, 0, z, self.n, self.p)
-        if f == "ut4p":
-            from .highdim import UT4Element
-            return UT4Element(self.p, (0, 0, 0, 0, 0, 0))
-        if f == "semidirect":
-            from .semidirect import SemidirectElement
-            return SemidirectElement((0,) * self.k, 1, self.m)
-        raise MalformedElementError(f)
+        """The identity element, built once per spec; elements are never
+        changed after construction, so callers may share it."""
+        ident = self._identity
+        if ident is None:
+            ident = vars(self)["_identity"] = self._family.identity(self)
+        return ident
 
     def elements(self):
+        # the order itself is not printed: str() refuses ints of more than
+        # 4300 digits, and |S_n| has them from n = 1559
         if self.order() > CAP:
             raise TooLargeError(
-                f"group of order {self.order()} exceeds the cap {CAP}")
-        return list(self._iter_elements())
-
-    def _iter_elements(self):
-        import itertools
-        f = self.family
-        if f == "cayley":
-            tab = self._cayley_table()
-            return (CayleyElement(i, tab) for i in range(tab.n))
-        if f in ("symmetric", "alternating"):
-            from .perm import Permutation
-            perms = (Permutation(im) for im in
-                     itertools.permutations(range(1, self.n + 1)))
-            if f == "alternating":
-                from .perm import sign
-                return (s for s in perms if sign(s) == 1)
-            return perms
-        if f == "dihedral":
-            from .dihedral import DihedralElement
-            return (DihedralElement(k, d, self.n)
-                    for d in (1, -1) for k in range(self.n))
-        if f in ("gl2p", "sl2p", "tl2p"):
-            from .mat2 import Mat2
-            p = self.p
-            if f == "tl2p":
-                cand = (Mat2(p, a, b, 0, d)
-                        for a in range(1, p) for d in range(1, p)
-                        for b in range(p))
-                return cand
-            cand = (Mat2(p, a, b, c, d)
-                    for a in range(p) for b in range(p)
-                    for c in range(p) for d in range(p)
-                    if (a * d - b * c) % p != 0)
-            if f == "sl2p":
-                return (x for x in cand if x.det() == 1)
-            return cand
-        if f == "et2n":
-            from .dihedral import Et2Element
-            return (Et2Element(e1, b, e2, self.n)
-                    for e1 in (1, self.n - 1) for e2 in (1, self.n - 1)
-                    for b in range(self.n))
-        if f == "heisenberg":
-            from .highdim import HeisenbergElement
-            p, d = self.p, self.n - 2
-            vecs = list(itertools.product(range(p), repeat=d))
-            return (HeisenbergElement(a1, a2, a3, self.n, p)
-                    for a1 in vecs for a2 in range(p) for a3 in vecs)
-        if f == "ut4p":
-            from .highdim import UT4Element
-            p = self.p
-            return (UT4Element(p, e)
-                    for e in itertools.product(range(p), repeat=6))
-        if f == "semidirect":
-            from .semidirect import SemidirectElement
-            return (SemidirectElement(v, s, self.m)
-                    for s in (1, -1)
-                    for v in itertools.product(range(self.m), repeat=self.k))
-        raise MalformedElementError(f)
+                f"the {self.family} group has more than {CAP} elements")
+        return list(self._family.elements(self))
 
 
 # GroupSpec -> {name: table built for it}, shared by equal specs across
@@ -361,6 +238,26 @@ def verify(eq: SphericalEquation, sol: Solution) -> bool:
         acc = acc * (z.inverse() * c * z)
     target = eq.rhs if eq.rhs is not None else eq.group.identity()
     return acc == target
+
+
+def reinflate(eq: SphericalEquation, zs) -> Solution:
+    """Lift conjugators zs solving normalize(eq) to a checked Solution of eq.
+
+    Identity constants get identity conjugators.  With an rhs, zs solves
+    the equation with rhs^-1 appended as a last constant, conjugated by zr:
+    the product of the other conjugates is P = zr^-1 rhs zr, so
+    z_i <- z_i zr^-1 makes it zr P zr^-1 = rhs.
+    """
+    ident = eq.group.identity()
+    it = iter(zs)
+    full = [next(it) if c != ident else ident for c in eq.constants]
+    if eq.rhs is not None and eq.rhs != ident:
+        zr_inv = next(it).inverse()
+        full = [z * zr_inv for z in full]
+    sol = Solution(full)
+    if not verify(eq, sol):
+        raise RuntimeError("witness fails verification")
+    return sol
 
 
 def _swap_adjacent(constants, conjugators, i):
@@ -515,8 +412,7 @@ def solve_brute(eq: SphericalEquation):
     # trace back: g lies in V_j = V_{j-1} . C_j, so some u in C_j leaves
     # g . u^-1 in V_{j-1}; the constant c_j is then conjugated onto u
     elems = tab.elems
-    ident = eq.group.identity()
-    g = ident
+    g = eq.group.identity()
     zs = []
     for j in range(len(ids), 0, -1):
         prev = masks[j - 1]
@@ -528,18 +424,7 @@ def solve_brute(eq: SphericalEquation):
         zs.append(tab.conjugator_onto(eqn.constants[j - 1], u))
         g = v
     zs.reverse()
-    # re-inflate to the original equation: identity constants get identity
-    # conjugators.  With an rhs the normalized solution gives the product
-    # P = zr^-1 rhs zr, so z_i <- z_i zr^-1 yields zr P zr^-1 = rhs.
-    it = iter(zs)
-    full = [next(it) if c != ident else ident for c in eq.constants]
-    if eq.rhs is not None and eq.rhs != ident:
-        zr_inv = next(it).inverse()
-        full = [z * zr_inv for z in full]
-    sol = Solution(full)
-    if not verify(eq, sol):
-        raise RuntimeError("oracle witness fails verification")
-    return sol
+    return reinflate(eq, zs)
 
 
 def saturation_length(spec: GroupSpec):

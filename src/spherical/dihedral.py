@@ -7,8 +7,8 @@ rotations and some signed sum of the a_i vanishes mod n, or there are at
 least two reflections and (n odd, or an even number of odd a_i).
 """
 
-from .core import (GroupSpec, SphericalEquation, Solution,
-                   MalformedElementError, normalize, signed_sum_signs, verify)
+from .core import (GroupSpec, SphericalEquation, MalformedElementError,
+                   normalize, reinflate, signed_sum_signs)
 
 
 class DihedralElement:
@@ -172,24 +172,7 @@ def solve_dn(eq: SphericalEquation):
                 placed = True
             zs.append(DihedralElement(hl, delta_prefix, n))
             delta_prefix *= c.delta
-    sol = Solution(zs)
-    assert verify(eqn, sol)
-    return _reinflate(eq, eqn, sol)
-
-
-def _reinflate(eq, eqn, sol):
-    """Map a solution of the normalized equation back to the original."""
-    ident = eq.group.identity()
-    it = iter(sol.conjugators)
-    full = [next(it) if c != ident else ident for c in eq.constants]
-    if eq.rhs is not None and eq.rhs != ident:
-        zr = next(it)
-        fixed = Solution([z * zr.inverse() for z in full])
-        assert verify(eq, fixed)
-        return fixed
-    out = Solution(full)
-    assert verify(eq, out)
-    return out
+    return reinflate(eq, zs)
 
 
 def reduce_partition(a) -> SphericalEquation:

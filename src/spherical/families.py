@@ -1,0 +1,241 @@
+"""The group families, one record each: everything the program knows about
+a family apart from its kernels.
+
+A record holds the family's parameter check, its order, identity and
+element enumerator, the JSON codec of its elements, a membership test, and
+its route: route(eq, rng) gives (method name, decide, solve) for an
+equation over the family.  GroupSpec, the CLI codec and the CLI router look
+the record up by family name.
+"""
+
+import collections
+import itertools
+import math
+
+from . import core, dihedral, highdim, mat2, numtheory, perm, semidirect
+from .core import CayleyElement, MalformedElementError
+from .dihedral import DihedralElement, Et2Element
+from .highdim import HeisenbergElement, UT4Element
+from .mat2 import Mat2
+from .perm import Permutation
+from .semidirect import SemidirectElement
+
+Family = collections.namedtuple("Family", (
+    "check",     # check(spec): raise MalformedElementError on bad parameters
+    "order",     # order(spec) -> |G|
+    "identity",  # identity(spec) -> the identity element
+    "elements",  # elements(spec) -> iterator over every element
+    "decode",    # decode(spec, obj) -> element, from its JSON object
+    "encode",    # encode(el) -> JSON object
+    "contains",  # contains(spec, el) -> whether a decoded el lies in G
+    "route",     # route(eq, rng) -> (method name, decide, solve)
+))
+
+
+def _int(obj, key):
+    val = obj[key]
+    # bool is an int subclass, so {"idx": true} would pass for 1
+    if type(val) is not int:
+        raise MalformedElementError(
+            f"element field {key!r} must be an integer, not {val!r}")
+    return val
+
+
+def _ints(key, vals):
+    """vals, which must be a list of integers, from element field key."""
+    if type(vals) is not list or not set(map(type, vals)) <= {int}:
+        raise MalformedElementError(
+            f"element field {key!r} must be a list of integers, not {vals!r}")
+    return vals
+
+
+def _need_n(least):
+    def check(spec):
+        if spec.n is None or spec.n < least:
+            raise MalformedElementError(
+                f"{spec.family} needs n >= {least}")
+    return check
+
+
+def _need_prime(spec):
+    if spec.p is None or not numtheory.is_prime(spec.p):
+        raise MalformedElementError(f"{spec.family} needs a prime p")
+
+
+def _fixed(method, decide, solve):
+    route = (method, decide, solve)
+    return lambda eq, rng: route
+
+
+_oracle = _fixed("cayley-dp", core.decide_cayley, core.solve_brute)
+
+
+def _check_cayley(spec):
+    if spec.table is None:
+        raise MalformedElementError("cayley family needs a table")
+
+
+def _check_heisenberg(spec):
+    _need_n(3)(spec)
+    _need_prime(spec)
+
+
+def _check_semidirect(spec):
+    if spec.m is None or spec.m < 2 or spec.k is None or spec.k < 1:
+        raise MalformedElementError("semidirect needs m >= 2, k >= 1")
+
+
+def _decode_mat2(spec, obj):
+    (a, b), (c, d) = obj["rows"]
+    _ints("rows", [a, b, c, d])
+    return Mat2(spec.p, a, b, c, d)
+
+
+def _decode_semidirect(spec, obj):
+    vec = _ints("vec", obj["vec"])
+    if len(vec) != spec.k:
+        raise MalformedElementError(
+            f"vec has length {len(vec)}, the group has k = {spec.k}")
+    return SemidirectElement(vec, _int(obj, "sign"), spec.m)
+
+
+def _gl2_route(eq, rng):
+    k = len(core.normalize(eq).constants)
+    method = ("gl2-scalar" if k <= 1 else "gl2-k2-conjugacy" if k == 2
+              else "gl2-k3-trace" if k == 3 else "gl2-k4-fold")
+    return method, mat2.decide_gl2, lambda e: mat2.solve_gl2(e, rng)
+
+
+def _semidirect_route(eq, rng):
+    if all(c.sign == 1 for c in eq.constants) and (
+            eq.rhs is None or eq.rhs.sign == 1):
+        return ("semidirect-signvector", semidirect.decide_signvector,
+                semidirect.solve_signvector)
+    return _oracle(eq, rng)
+
+
+def _heisenberg_elements(spec):
+    p, n = spec.p, spec.n
+    vecs = list(itertools.product(range(p), repeat=n - 2))
+    return (HeisenbergElement(a1, a2, a3, n, p)
+            for a1 in vecs for a2 in range(p) for a3 in vecs)
+
+
+_SYMMETRIC = Family(
+    check=_need_n(1),
+    order=lambda s: math.factorial(s.n),
+    identity=lambda s: Permutation.identity(s.n),
+    elements=lambda s: map(Permutation,
+                           itertools.permutations(range(1, s.n + 1))),
+    decode=lambda s, o: Permutation(_ints("images", o["images"])),
+    encode=lambda x: {"n": x.n, "images": list(x.images)},
+    contains=lambda s, x: x.n == s.n,
+    route=_oracle)
+
+_GL2 = Family(
+    check=_need_prime,
+    order=lambda s: (s.p**2 - 1) * (s.p**2 - s.p),
+    identity=lambda s: Mat2.identity(s.p),
+    elements=lambda s: (Mat2(s.p, a, b, c, d) for a in range(s.p)
+                        for b in range(s.p) for c in range(s.p)
+                        for d in range(s.p) if (a * d - b * c) % s.p),
+    decode=_decode_mat2,
+    encode=lambda x: {"p": x.p, "rows": [[x.a, x.b], [x.c, x.d]]},
+    contains=lambda s, x: x.p == s.p and x.det() != 0,
+    route=_gl2_route)
+
+FAMILIES = {
+    "cayley": Family(
+        check=_check_cayley,
+        order=lambda s: len(s.table),
+        identity=lambda s: CayleyElement(s._cayley_table().ident,
+                                         s._cayley_table()),
+        elements=lambda s: (CayleyElement(i, s._cayley_table())
+                            for i in range(len(s.table))),
+        decode=lambda s, o: CayleyElement(_int(o, "idx"), s._cayley_table()),
+        encode=lambda x: {"idx": x.idx},
+        contains=lambda s, x: 0 <= x.idx < len(s.table),
+        route=_oracle),
+    "symmetric": _SYMMETRIC,
+    "alternating": _SYMMETRIC._replace(
+        order=lambda s: max(1, math.factorial(s.n) // 2),
+        elements=lambda s: (x for x in _SYMMETRIC.elements(s)
+                            if perm.sign(x) == 1),
+        contains=lambda s, x: x.n == s.n and perm.sign(x) == 1),
+    "dihedral": Family(
+        check=_need_n(1),
+        order=lambda s: 2 * s.n,
+        identity=lambda s: DihedralElement(0, 1, s.n),
+        elements=lambda s: (DihedralElement(k, d, s.n)
+                            for d in (1, -1) for k in range(s.n)),
+        decode=lambda s, o: DihedralElement(_int(o, "k"), _int(o, "delta"),
+                                            s.n),
+        encode=lambda x: {"k": x.k, "delta": x.delta},
+        contains=lambda s, x: x.n == s.n,
+        route=_fixed("dihedral-criterion", dihedral.decide_dn,
+                     dihedral.solve_dn)),
+    "gl2p": _GL2,
+    # sl2p has no closed form here: the GL(2,p) one ignores how SL(2,p)
+    # splits classes, so it goes to the oracle, which raises a capacity
+    # error above CAP rather than give a GL(2,p) answer
+    "sl2p": _GL2._replace(
+        order=lambda s: s.p**3 - s.p,
+        elements=lambda s: (x for x in _GL2.elements(s) if x.det() == 1),
+        contains=lambda s, x: x.p == s.p and x.det() == 1,
+        route=_oracle),
+    "tl2p": _GL2._replace(
+        order=lambda s: s.p * (s.p - 1) ** 2,
+        elements=lambda s: (Mat2(s.p, a, b, 0, d) for a in range(1, s.p)
+                            for d in range(1, s.p) for b in range(s.p)),
+        contains=lambda s, x: (x.p == s.p and x.c == 0
+                               and x.a != 0 and x.d != 0),
+        route=_fixed("tl2-closed-form", mat2.decide_tl2, mat2.solve_tl2)),
+    "et2n": Family(
+        check=_need_n(3),
+        order=lambda s: 4 * s.n,
+        identity=lambda s: Et2Element(1, 0, 1, s.n),
+        elements=lambda s: (Et2Element(e1, b, e2, s.n)
+                            for e1 in (1, s.n - 1) for e2 in (1, s.n - 1)
+                            for b in range(s.n)),
+        decode=lambda s, o: Et2Element(_int(o, "e1"), _int(o, "b"),
+                                       _int(o, "e2"), s.n),
+        encode=lambda x: {"e1": x.e1, "b": x.b, "e2": x.e2},
+        contains=lambda s, x: x.n == s.n,
+        route=_oracle),
+    "heisenberg": Family(
+        check=_check_heisenberg,
+        order=lambda s: s.p ** (2 * (s.n - 2) + 1),
+        identity=lambda s: HeisenbergElement(
+            (0,) * (s.n - 2), 0, (0,) * (s.n - 2), s.n, s.p),
+        elements=_heisenberg_elements,
+        decode=lambda s, o: HeisenbergElement(
+            _ints("alpha1", o["alpha1"]), _int(o, "a2"),
+            _ints("alpha3", o["alpha3"]), s.n, s.p),
+        encode=lambda x: {"alpha1": list(x.a1), "a2": x.a2,
+                          "alpha3": list(x.a3)},
+        contains=lambda s, x: (x.n, x.p) == (s.n, s.p),
+        route=_fixed("heisenberg-closed-form", highdim.decide_heisenberg,
+                     highdim.solve_heisenberg)),
+    "ut4p": Family(
+        check=_need_prime,
+        order=lambda s: s.p**6,
+        identity=lambda s: UT4Element(s.p, (0,) * 6),
+        elements=lambda s: (UT4Element(s.p, e) for e in
+                            itertools.product(range(s.p), repeat=6)),
+        decode=lambda s, o: UT4Element(s.p, _ints("entries", o["entries"])),
+        encode=lambda x: {"entries": list(x.e)},
+        contains=lambda s, x: x.p == s.p,
+        route=_fixed("ut4-closed-form", highdim.decide_ut4,
+                     highdim.solve_ut4)),
+    "semidirect": Family(
+        check=_check_semidirect,
+        order=lambda s: 2 * s.m**s.k,
+        identity=lambda s: SemidirectElement((0,) * s.k, 1, s.m),
+        elements=lambda s: (SemidirectElement(v, sign, s.m)
+                            for sign in (1, -1) for v in
+                            itertools.product(range(s.m), repeat=s.k)),
+        decode=_decode_semidirect,
+        encode=lambda x: {"vec": list(x.vec), "sign": x.sign},
+        contains=lambda s, x: x.m == s.m and len(x.vec) == s.k,
+        route=_semidirect_route),
+}

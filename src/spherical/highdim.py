@@ -7,8 +7,8 @@ the X_i and C_i.  Deciding solvability reduces to a handful of linear (or,
 for UT(4,p), one bilinear) equations over Z_p.
 """
 
-from .core import (GroupSpec, SphericalEquation, Solution,
-                   MalformedElementError, normalize, verify)
+from .core import (SphericalEquation, MalformedElementError, normalize,
+                   reinflate)
 
 
 class DimensionMismatchError(ValueError):
@@ -188,21 +188,6 @@ def _prepare(eq: SphericalEquation, family, cls):
     return eqn
 
 
-def _reinflate(eq, sol):
-    """Map a solution of the normalized equation back to the original."""
-    ident = eq.group.identity()
-    it = iter(sol.conjugators)
-    full = [next(it) if c != ident else ident for c in eq.constants]
-    if eq.rhs is not None and eq.rhs != ident:
-        zr = next(it)
-        fixed = Solution([z * zr.inverse() for z in full])
-        assert verify(eq, fixed)
-        return fixed
-    out = Solution(full)
-    assert verify(eq, out)
-    return out
-
-
 def decide_heisenberg(eq: SphericalEquation) -> bool:
     eqn = _prepare(eq, "heisenberg", HeisenbergElement)
     cs = eqn.constants
@@ -257,9 +242,7 @@ def solve_heisenberg(eq: SphericalEquation):
                 gamma[j] = base * pow(c.a1[j], -1, p)
                 xs[i] = HeisenbergElement(zero, 0, gamma, n, p)
                 break
-    sol = Solution([x.inverse() for x in xs])
-    assert verify(eqn, sol)
-    return _reinflate(eq, sol)
+    return reinflate(eq, [x.inverse() for x in xs])
 
 
 def _ut4_conjugates(cs, xs):
@@ -287,7 +270,7 @@ def solve_ut4(eq: SphericalEquation):
     eqn = _prepare(eq, "ut4p", UT4Element)
     cs = eqn.constants
     if not cs:
-        return _reinflate(eq, Solution([]))
+        return reinflate(eq, [])
     p = eq.group.p
     k = len(cs)
     c1, c2, c3, c4, c5, c6 = (tuple(c.e[j] for c in cs) for j in range(6))
@@ -307,11 +290,7 @@ def solve_ut4(eq: SphericalEquation):
                 for i in range(k)]
 
     def finish(xs):
-        prod = _ut4_conjugates(cs, xs)
-        assert prod.e == (0,) * 6
-        sol = Solution([x.inverse() for x in xs])
-        assert verify(eqn, sol)
-        return _reinflate(eq, sol)
+        return reinflate(eq, [x.inverse() for x in xs])
 
     if any(c1) or any(c6):
         # entries (2) and (5) give a linear system in x_i, z_i, y_i; any

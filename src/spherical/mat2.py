@@ -9,7 +9,7 @@ P^-1 A P = J where J is the canonical representative of A's conjugacy class
 
 from . import numtheory
 from .core import (GroupSpec, SphericalEquation, Solution, normalize,
-                   verify, reorder_equiv, decide_cayley, solve_brute)
+                   reinflate, reorder_equiv, decide_cayley, solve_brute)
 from .numtheory import Rng, legendre, sqrt_mod, solve_weighted_trace
 
 
@@ -172,10 +172,6 @@ def conjugator(A: Mat2, B: Mat2, rng: Rng | None = None) -> Mat2:
     return Z
 
 
-def _det1(v, x, y, z, p):
-    return Mat2(p, v, x, y, z)
-
-
 def _tt_against_type1(A: Mat2, J: Mat2, k: int) -> Mat2:
     """W with tr(A J^W) = k for diagonal J = diag(s,t), s != t, A non-scalar.
 
@@ -189,12 +185,12 @@ def _tt_against_type1(A: Mat2, J: Mat2, k: int) -> Mat2:
     need = (k - base) % p
     if (t - s) * b % p != 0:
         y = need * pow((t - s) * b % p, p - 2, p) % p
-        return _det1(1, 0, y, 1, p)
+        return Mat2(p, 1, 0, y, 1)
     if (s - t) * c % p != 0:
         x = need * pow((s - t) * c % p, p - 2, p) % p
-        return _det1(1, x, 0, 1, p)
+        return Mat2(p, 1, x, 0, 1)
     w = need * pow((s - t) * (a - d) % p, p - 2, p) % p
-    return _det1((1 + w) % p, 1, w, 1, p)
+    return Mat2(p, (1 + w) % p, 1, w, 1)
 
 
 def _tt_against_type2(A: Mat2, J: Mat2, k: int, rng: Rng) -> Mat2:
@@ -399,27 +395,8 @@ def solve_tl2(eq: SphericalEquation):
                 lhs = (-K[h] * xh * cs[h].b - xi) % p
             xs[h] = xh
             xs[ell] = lhs * pow(K[ell] * cs[ell].b % p, p - 2, p) % p
-    zs = []
-    for j in range(k):
-        X = Mat2(p, xs[j], ys[j], 0, 1)
-        zs.append(X.inverse())
-    sol = Solution(zs)
-    assert verify(eqn, sol)
-    return _reinflate(eq, sol)
-
-
-def _reinflate(eq, sol):
-    """Lift a solution of normalize(eq) back to eq itself."""
-    ident = eq.group.identity()
-    it = iter(sol.conjugators)
-    full = [next(it) if c != ident else ident for c in eq.constants]
-    if eq.rhs is not None and eq.rhs != ident:
-        zr = next(it)
-        out = Solution([z * zr.inverse() for z in full])
-    else:
-        out = Solution(full)
-    assert verify(eq, out)
-    return out
+    return reinflate(eq, [Mat2(p, xs[j], ys[j], 0, 1).inverse()
+                          for j in range(k)])
 
 
 def _fold_scalars(cs):
@@ -547,9 +524,7 @@ def solve_gl2(eq: SphericalEquation, rng: Rng | None = None):
         part = _solve_nonscalar(cs, rng)
         for (i, _), z in zip(nonscalar, part):
             zs[i] = z
-    sol = Solution(zs)
-    assert verify(eqn, sol)
-    return _reinflate(eq, sol)
+    return reinflate(eq, zs)
 
 
 def _solve_nonscalar(cs, rng):

@@ -6,8 +6,6 @@ through an explicit Rng so that runs are reproducible from a seed.
 
 import random
 
-P_MAX = (1 << 61) - 1
-
 
 class NonResidueError(ValueError):
     pass
@@ -65,21 +63,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class PrimeField:
-    def __init__(self, p: int):
-        if p > P_MAX:
-            raise InvalidModulusError(f"modulus {p} exceeds cap 2^61-1")
-        if not is_prime(p):
-            raise InvalidModulusError(f"{p} is not prime")
-        self.p = p
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
 
 
 def _retry_budget(p: int) -> int:

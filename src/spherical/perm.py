@@ -99,8 +99,20 @@ def mov(s: Permutation):
 
 
 def sign(s: Permutation) -> int:
-    even_cycles = sum(1 for c in cycle_decompose(s) if len(c) % 2 == 0)
-    return -1 if even_cycles % 2 else 1
+    """(-1)^(n - number of cycles), in one pass without building the
+    cycles: a cycle of length L contributes L - 1 to n - cycles."""
+    images = s.images
+    seen = bytearray(len(images) + 1)
+    odd = False
+    for start, i in enumerate(images, 1):
+        if i == start or seen[start]:
+            continue
+        seen[start] = 1
+        while i != start:
+            seen[i] = 1
+            odd = not odd
+            i = images[i - 1]
+    return -1 if odd else 1
 
 
 def cycle_type(s: Permutation):

@@ -215,6 +215,10 @@ def test_exit_code_capacity(monkeypatch, capsys):
                "constants": [{"n": 9, "images": list(range(2, 10)) + [1]}]}
     code, _ = run(["oracle"], payload, monkeypatch, capsys)
     assert code == 3
+    # |S_2000| has more than 4300 digits
+    code, _ = run(["decide"], {"group": {"family": "symmetric", "n": 2000},
+                               "constants": []}, monkeypatch, capsys)
+    assert code == 3
 
 
 def test_sl2p_answers_stay_in_sl2p(monkeypatch, capsys):
@@ -400,3 +404,51 @@ def test_closed_form_leaves_the_group_cache_alone(monkeypatch, capsys):
         code, _ = run([verb], payload, monkeypatch, capsys)
         assert code == 0
     assert len(cli.core._group_cache) == before
+
+
+def _mat(rows):
+    return {"rows": rows}
+
+
+Z2 = {"family": "cayley", "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("group, constants, conjugators, solvable, message", [
+    # (1 2 3) twice is not solvable in A4; the odd (1 2) must not verify it
+    ({"family": "alternating", "n": 4},
+     [{"images": [2, 3, 1, 4]}] * 2,
+     [{"images": [1, 2, 3, 4]}, {"images": [2, 1, 3, 4]}], False,
+     "(1 2) is not an element of the alternating group"),
+    ({"family": "sl2p", "p": 5},
+     [_mat([[1, 1], [0, 1]]), _mat([[1, -2], [0, 1]])],
+     [_mat([[1, 0], [0, 1]]), _mat([[2, 0], [0, 1]])], False,
+     "[[2,0],[0,1]] is not an element of the sl2p group"),
+    ({"family": "tl2p", "p": 5},
+     [_mat([[1, 1], [0, 1]]), _mat([[1, -1], [0, 1]])],
+     [_mat([[1, 0], [1, 1]])] * 2, True,
+     "[[1,0],[1,1]] is not an element of the tl2p group"),
+    (Z2, [{"idx": 1}] * 2, [{"idx": 0}, {"idx": -1}], True,
+     "g-1 is not an element of the cayley group"),
+    (Z2, [{"idx": 1}] * 2, [{"idx": 0}, {"idx": 5}], True,
+     "g5 is not an element of the cayley group"),
+    ({"family": "symmetric", "n": 3},
+     [{"images": [2, 1]}, {"images": [2, 1, 3]}], None, None,
+     "(1 2) is not an element of the symmetric group"),
+], ids=["A4-odd", "SL2-det2", "TL2-lower", "Z2-idx-negative",
+        "Z2-idx-too-large", "S3-short-images"])
+def test_elements_outside_the_group_are_input_errors(
+        group, constants, conjugators, solvable, message, monkeypatch,
+        capsys):
+    payload = {"group": group, "constants": constants}
+    if conjugators is None:
+        verb = "decide"
+    else:
+        code, out = run(["decide"], payload, monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["solvable"] is solvable
+        verb = "verify"
+        payload["conjugators"] = conjugators
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main([verb]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"

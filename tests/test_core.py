@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherical import core
+from spherical import cli, core, families
 from spherical.core import (GroupSpec, SphericalEquation, Solution,
                             BadTableError, TooLargeError, CayleyTable,
                             conjugacy_classes, decide_cayley, solve_brute,
@@ -61,6 +61,7 @@ def test_group_spec_validation():
 
 
 def test_elements_match_order():
+    covered = set()
     for spec in (spec_zn(6), GroupSpec("symmetric", n=4),
                  GroupSpec("alternating", n=4), GroupSpec("dihedral", n=7),
                  GroupSpec("gl2p", p=3), GroupSpec("sl2p", p=3),
@@ -71,6 +72,12 @@ def test_elements_match_order():
         assert len(els) == spec.order()
         assert len(set(els)) == spec.order()
         assert spec.identity() in els
+        family = families.FAMILIES[spec.family]
+        for x in els:
+            assert family.contains(spec, x)
+            assert cli.decode_element(spec, cli.encode_element(spec, x)) == x
+        covered.add(spec.family)
+    assert covered == set(families.FAMILIES)
 
 
 def test_elements_cap():

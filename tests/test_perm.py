@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,22 @@ def test_sign_examples():
     assert sign(Permutation.identity(4)) == 1
     assert sign(Permutation((2, 1, 3, 4))) == -1
     assert sign(Permutation((2, 3, 1, 5, 4))) == -1
+
+
+def _cycle_parity(s):
+    even = sum(1 for c in cycle_decompose(s) if len(c) % 2 == 0)
+    return -1 if even % 2 else 1
+
+
+def test_sign_matches_cycle_parity():
+    for n in range(1, 7):
+        for images in itertools.permutations(range(1, n + 1)):
+            s = Permutation(images)
+            assert sign(s) == _cycle_parity(s)
+    r = random.Random(0)
+    for _ in range(200):
+        s = rand_perm(r, r.randrange(1, 1001))
+        assert sign(s) == _cycle_parity(s)
 
 
 def test_conjugate_check_examples():
