@@ -5,6 +5,8 @@ An equation is a list of constants c_i over a declared group; it is solvable
 when conjugators z_i exist with prod_i z_i^-1 c_i z_i = 1 (or = rhs).
 """
 
+import random
+
 CAP = 10**4
 
 
@@ -49,6 +51,38 @@ class CayleyElement:
         return f"g{self.idx}"
 
 
+def generating_set(n, ident, mul):
+    """Indices of elements whose closure under right multiplication from
+    ident is all of 0..n-1, where mul(h, s) is the index of h . s.
+
+    In a finite group that closure is the subgroup the elements generate.
+    Two elements are drawn first: two random elements of S_n generate it
+    with probability tending to 3/4 (Dixon 1969), and a pair usually
+    generates the other families too.  The draw is seeded with n alone, so
+    it does not depend on --seed or on hash().  While the closure falls
+    short, the first element outside it joins the set, so every group gets
+    a generating set, abelian ones included.
+    """
+    gens = []
+    reached = [ident]
+    seen = bytearray(n)
+    seen[ident] = 1
+    draw = random.Random(n).sample(range(n), min(2, n))
+    while len(reached) < n:
+        g = next((g for g in draw if not seen[g]), None)
+        if g is None:
+            g = seen.index(0)
+        gens.append(g)
+        queue = [mul(h, g) for h in reached]
+        while queue:
+            h = queue.pop()
+            if not seen[h]:
+                seen[h] = 1
+                reached.append(h)
+                queue.extend(mul(h, s) for s in gens)
+    return gens
+
+
 class CayleyTable:
     """Validated multiplication table: Latin square, identity, associativity."""
 
@@ -74,24 +108,9 @@ class CayleyTable:
         if ident is None:
             raise BadTableError("no identity element")
         # Light's test: the elements s with (x s) y == x (s y) for all x, y
-        # are closed under products, so checking a generating set is exact.
-        # Generators are picked greedily outside the closure under right
-        # multiplication by the generators found so far.
-        gens = []
-        reached = [ident]
-        seen = [False] * n
-        seen[ident] = True
-        for g in range(n):
-            if seen[g]:
-                continue
-            gens.append(g)
-            queue = [mul[h][g] for h in reached]
-            while queue:
-                h = queue.pop()
-                if not seen[h]:
-                    seen[h] = True
-                    reached.append(h)
-                    queue.extend(mul[h][s] for s in gens)
+        # are closed under products and hold the identity, so checking the
+        # generators of the closure under right multiplication is exact.
+        gens = generating_set(n, ident, lambda h, s: mul[h][s])
         for s in gens:
             row_s = mul[s]
             for x in range(n):
@@ -311,35 +330,51 @@ class ConjClassTable:
     class-mask engine behind the oracle.
 
     witness[i] conjugates the class representative onto element i, i.e.
-    witness[i]^-1 . rep . witness[i] = elems[i].  A product of classes is a
-    normal subset, so every set the oracle reaches is a union of classes and
-    is held as a bitmask with one bit per class.
+    witness[i]^-1 . rep . witness[i] = elems[i].  Classes are numbered in
+    the order of their first elements, and each class's representative is
+    its first element.  A class is grown as an orbit under conjugation by
+    a generating set S: reaching s^-1 h s from h, whose witness is w, gives
+    it the witness w . s.  That is |G|.|S| conjugations, instead of
+    |G| for each class.
+
+    A product of classes is a normal subset, so every set the oracle
+    reaches is a union of classes and is held as a bitmask with one bit per
+    class.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self.elems = spec.elements()
-        self.index = {g: i for i, g in enumerate(self.elems)}
-        n = len(self.elems)
-        self.class_of = [None] * n
+        self.elems = elems = spec.elements()
+        self.index = index = {g: i for i, g in enumerate(elems)}
+        n = len(elems)
+        ident = spec.identity()
+        gens = [elems[s] for s in generating_set(
+            n, index[ident], lambda h, s: index[elems[h] * elems[s]])]
+        pairs = [(s.inverse(), s) for s in gens]
+        self.class_of = class_of = [None] * n
+        self.witness = witness = [None] * n
         self.classes = []
         self.reps = []
-        self.witness = [None] * n
         for i in range(n):
-            if self.class_of[i] is not None:
+            if class_of[i] is not None:
                 continue
-            rep = self.elems[i]
-            cls = []
-            for x in self.elems:
-                g = x.inverse() * rep * x
-                j = self.index[g]
-                if self.class_of[j] is None:
-                    self.class_of[j] = len(self.classes)
-                    self.witness[j] = x
-                    cls.append(j)
+            c = len(self.classes)
+            class_of[i] = c
+            witness[i] = ident
+            cls = [i]
+            for j in cls:  # cls grows as it is walked: breadth-first
+                h, w = elems[j], witness[j]
+                for s_inv, s in pairs:
+                    k = index[s_inv * h * s]
+                    if class_of[k] is None:
+                        class_of[k] = c
+                        # the stored element, not the fresh product: that
+                        # would keep |G| more objects alive
+                        witness[k] = elems[index[w * s]]
+                        cls.append(k)
             self.classes.append(cls)
             self.reps.append(i)
-        self.ident_mask = 1 << self.class_of[self.index[spec.identity()]]
+        self.ident_mask = 1 << class_of[index[ident]]
         self._prod = {}
 
     def class_id(self, g) -> int:

@@ -85,10 +85,28 @@ def _check_semidirect(spec):
         raise MalformedElementError("semidirect needs m >= 2, k >= 1")
 
 
+def _own_field(spec, obj, key, shown):
+    """Reject an element whose own field key (which encode writes) names
+    another group than spec; an element without it stays valid.  shown()
+    names the element, and runs only then: a permutation's repr walks its
+    cycles."""
+    if key in obj and _int(obj, key) != getattr(spec, key):
+        raise MalformedElementError(
+            f"{shown()} has {key} = {obj[key]}, the {spec.family} group has "
+            f"{key} = {getattr(spec, key)}")
+
+
 def _decode_mat2(spec, obj):
     (a, b), (c, d) = obj["rows"]
     _ints("rows", [a, b, c, d])
+    _own_field(spec, obj, "p", lambda: f"[[{a},{b}],[{c},{d}]]")
     return Mat2(spec.p, a, b, c, d)
+
+
+def _decode_perm(spec, obj):
+    x = Permutation(_ints("images", obj["images"]))
+    _own_field(spec, obj, "n", x.__repr__)
+    return x
 
 
 def _decode_semidirect(spec, obj):
@@ -114,6 +132,21 @@ def _semidirect_route(eq, rng):
     return _oracle(eq, rng)
 
 
+def _sl2_elements(spec):
+    """The det-1 matrices in lexicographic order of (a, b, c, d): d is
+    (1 + b c) / a when a != 0; when a == 0, c is -1 / b and d is free."""
+    p = spec.p
+    for b in range(1, p):
+        c = -pow(b, -1, p)
+        for d in range(p):
+            yield Mat2(p, 0, b, c, d)
+    for a in range(1, p):
+        a_inv = pow(a, -1, p)
+        for b in range(p):
+            for c in range(p):
+                yield Mat2(p, a, b, c, (1 + b * c) * a_inv)
+
+
 def _heisenberg_elements(spec):
     p, n = spec.p, spec.n
     vecs = list(itertools.product(range(p), repeat=n - 2))
@@ -127,7 +160,7 @@ _SYMMETRIC = Family(
     identity=lambda s: Permutation.identity(s.n),
     elements=lambda s: map(Permutation,
                            itertools.permutations(range(1, s.n + 1))),
-    decode=lambda s, o: Permutation(_ints("images", o["images"])),
+    decode=_decode_perm,
     encode=lambda x: {"n": x.n, "images": list(x.images)},
     contains=lambda s, x: x.n == s.n,
     route=_oracle)
@@ -180,7 +213,7 @@ FAMILIES = {
     # error above CAP rather than give a GL(2,p) answer
     "sl2p": _GL2._replace(
         order=lambda s: s.p**3 - s.p,
-        elements=lambda s: (x for x in _GL2.elements(s) if x.det() == 1),
+        elements=_sl2_elements,
         contains=lambda s, x: x.p == s.p and x.det() == 1,
         route=_oracle),
     "tl2p": _GL2._replace(

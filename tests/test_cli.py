@@ -1,6 +1,9 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -434,8 +437,16 @@ Z2 = {"family": "cayley", "table": [[0, 1], [1, 0]]}
     ({"family": "symmetric", "n": 3},
      [{"images": [2, 1]}, {"images": [2, 1, 3]}], None, None,
      "(1 2) is not an element of the symmetric group"),
+    # an element's own p or n, when given, must be the group's: read mod 5,
+    # diag(6, 1) mod 7 would pass for the identity
+    ({"family": "gl2p", "p": 5},
+     [{"p": 7, "rows": [[6, 0], [0, 1]]}] * 2, None, None,
+     "[[6,0],[0,1]] has p = 7, the gl2p group has p = 5"),
+    ({"family": "symmetric", "n": 3},
+     [{"n": 5, "images": [2, 1, 3]}], None, None,
+     "(1 2) has n = 5, the symmetric group has n = 3"),
 ], ids=["A4-odd", "SL2-det2", "TL2-lower", "Z2-idx-negative",
-        "Z2-idx-too-large", "S3-short-images"])
+        "Z2-idx-too-large", "S3-short-images", "GL2-own-p", "S3-own-n"])
 def test_elements_outside_the_group_are_input_errors(
         group, constants, conjugators, solvable, message, monkeypatch,
         capsys):
@@ -452,3 +463,31 @@ def test_elements_outside_the_group_are_input_errors(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {"group": {"family": "gl2p", "p": 5},
+     "constants": [{"rows": [[1, 1], [0, 1]]}, {"rows": [[2, 0], [0, 3]]},
+                   {"rows": [[0, 1], [4, 0]]}]},
+    {"group": {"family": "symmetric", "n": 5},
+     "constants": [{"images": [2, 3, 4, 5, 1]}, {"images": [2, 1, 4, 3, 5]},
+                   {"images": [3, 1, 2, 4, 5]}]},
+], ids=["GL2_5", "S5"])
+def test_oracle_solve_ignores_the_hash_seed(payload):
+    # the class tables' generating sets are drawn from a Random seeded with
+    # |G|, so the witness must not change with PYTHONHASHSEED
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spherical.cli", "solve", "--force-oracle"],
+            input=json.dumps(payload).encode(), capture_output=True, env=env,
+            timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["verified"] is True
+    assert outs[0] == outs[1]

@@ -251,6 +251,109 @@ def test_associativity_check_is_exact_above_64():
     assert CayleyTable(cyclic_table(66)).n == 66
 
 
+def _classes_by_conjugating_everything(spec):
+    """Reference partition: each representative, taken in index order,
+    conjugated by every element of the group."""
+    els = spec.elements()
+    index = {g: i for i, g in enumerate(els)}
+    class_of = [None] * len(els)
+    classes = []
+    for i, rep in enumerate(els):
+        if class_of[i] is not None:
+            continue
+        cls = set()
+        for x in els:
+            j = index[x.inverse() * rep * x]
+            if class_of[j] is None:
+                class_of[j] = len(classes)
+                cls.add(j)
+        classes.append(cls)
+    return class_of, classes
+
+
+def _z2_cubed():
+    z2 = GroupSpec("cayley", table=cyclic_table(2))
+    return direct_product(direct_product(z2, z2), z2)
+
+
+ORBIT_SPECS = {
+    "S1": GroupSpec("symmetric", n=1), "S5": GroupSpec("symmetric", n=5),
+    "A5": GroupSpec("alternating", n=5), "D4": GroupSpec("dihedral", n=4),
+    "GL2_5": GroupSpec("gl2p", p=5), "SL2_5": GroupSpec("sl2p", p=5),
+    "Z2^3": _z2_cubed(),
+}
+
+
+def _assert_matches_reference(spec, tab):
+    class_of, classes = _classes_by_conjugating_everything(spec)
+    assert tab.class_of == class_of
+    assert [set(c) for c in tab.classes] == classes
+    assert tab.reps == [min(c) for c in classes]
+    for i, g in enumerate(tab.elems):
+        w = tab.witness[i]
+        assert w.inverse() * tab.elems[tab.reps[class_of[i]]] * w == g
+
+
+@pytest.mark.parametrize("name", list(ORBIT_SPECS))
+def test_orbit_class_table_matches_conjugating_by_everything(name):
+    spec = ORBIT_SPECS[name]
+    _assert_matches_reference(spec, core.ConjClassTable(spec))
+
+
+def _generators(spec):
+    els = spec.elements()
+    index = {g: i for i, g in enumerate(els)}
+    return core.generating_set(len(els), index[spec.identity()],
+                               lambda h, s: index[els[h] * els[s]])
+
+
+def test_generating_set_is_extended_when_the_draw_falls_short():
+    # any two elements of Z2^3 generate at most four of its eight
+    assert len(_generators(_z2_cubed())) == 3
+
+
+class _StuckRandom:
+    """A draw that always picks element 0 (the identity in S_n)."""
+
+    def __init__(self, seed):
+        pass
+
+    def sample(self, population, k):
+        return [population[0]] * k
+
+
+@pytest.mark.parametrize("name", ["S5", "GL2_5", "Z2^3"])
+def test_class_table_covers_the_group_whatever_the_draw(name, monkeypatch):
+    monkeypatch.setattr(core.random, "Random", _StuckRandom)
+    spec = ORBIT_SPECS[name]
+    _assert_matches_reference(spec, core.ConjClassTable(spec))
+
+
+@pytest.mark.parametrize("stuck", [False, True])
+def test_associativity_check_holds_whatever_the_draw(stuck, monkeypatch):
+    if stuck:
+        monkeypatch.setattr(core.random, "Random", _StuckRandom)
+    with pytest.raises(BadTableError, match="associativity"):
+        CayleyTable([
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ])
+    assert CayleyTable(q8_mul_table()).n == 8
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sl2p_elements_are_the_det_1_matrices(p):
+    spec = GroupSpec("sl2p", p=p)
+    els = spec.elements()
+    want = {x for x in families.FAMILIES["gl2p"].elements(spec)
+            if x.det() == 1}
+    assert set(els) == want
+    assert len(els) == p**3 - p
+
+
 def _reachable_products(spec, constants, conjugates):
     """Every product prod z_i^-1 c_i z_i over every conjugator tuple."""
     reach = {spec.identity()}
