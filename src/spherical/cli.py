@@ -3,8 +3,10 @@
 Verbs: solve, decide, verify, reduce, oracle, saturation, classify.
 Input is JSON on stdin or from a positional path; output is a single JSON
 object on stdout, newline-terminated.  Exit status 0 means the computation
-completed (whatever the verdict), 2 is an input error, 3 a capacity error,
-4 internal retry exhaustion.
+completed (whatever the verdict), 2 an input error (InputError, or a payload
+that cannot be read as JSON), 3 a capacity error (TooLargeError), 4 internal
+retry exhaustion (RetryExhausted).  Any other exception is a bug, and ends
+in a traceback with status 1.
 """
 
 import argparse
@@ -13,37 +15,19 @@ import json
 import sys
 
 from . import core, dihedral, mat2, numtheory, perm, semidirect
-from .core import (GroupSpec, SphericalEquation, Solution, TooLargeError,
-                   MalformedElementError, BadTableError, LengthMismatchError)
-from .families import FAMILIES
+from .core import (GroupSpec, SphericalEquation, Solution, InputError,
+                   TooLargeError)
+from .families import FAMILIES, _field
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_RETRY = 4
 
-_INPUT_ERRORS = (
-    MalformedElementError, BadTableError, LengthMismatchError,
-    perm.MalformedInstanceError, perm.InvalidCertificateError,
-    perm.DegreeMismatchError, perm.NotConjugateError,
-    mat2.ModulusMismatchError, mat2.NotConjugateError,
-    mat2.SingularMatrixError, mat2.ScalarInputError,
-    mat2.NotTriangularError, semidirect.UnsupportedShapeError,
-    numtheory.InvalidModulusError, numtheory.PreconditionError,
-    ValueError, KeyError, TypeError, json.JSONDecodeError,
-)
-
 
 def decode_group(obj) -> GroupSpec:
-    if not isinstance(obj, dict):
-        raise MalformedElementError("a group must be a JSON object")
-    ints = {key: obj.get(key) for key in ("n", "p", "m", "k")}
-    for key, val in ints.items():
-        # bool is an int subclass, and a float p reaches pow() as a modulus
-        if val is not None and type(val) is not int:
-            raise MalformedElementError(
-                f"group field {key!r} must be an integer, not {val!r}")
-    return GroupSpec(obj["family"], table=obj.get("table"), **ints)
+    return GroupSpec(_field(obj, "family"), n=obj.get("n"), p=obj.get("p"),
+                     m=obj.get("m"), k=obj.get("k"), table=obj.get("table"))
 
 
 def encode_group(spec: GroupSpec):
@@ -63,7 +47,7 @@ def decode_element(spec: GroupSpec, obj):
     family = FAMILIES[spec.family]
     el = family.decode(spec, obj)
     if not family.contains(spec, el):
-        raise MalformedElementError(
+        raise InputError(
             f"{el!r} is not an element of the {spec.family} group")
     return el
 
@@ -72,9 +56,17 @@ def encode_element(spec: GroupSpec, el):
     return FAMILIES[spec.family].encode(el)
 
 
+def _elements(spec, obj, key):
+    """The elements listed in field key of obj."""
+    objs = _field(obj, key)
+    if type(objs) is not list:
+        raise InputError(f"field {key!r} must be a list, not {objs!r}")
+    return [decode_element(spec, x) for x in objs]
+
+
 def decode_equation(obj) -> SphericalEquation:
-    spec = decode_group(obj["group"])
-    constants = [decode_element(spec, c) for c in obj["constants"]]
+    spec = decode_group(_field(obj, "group"))
+    constants = _elements(spec, obj, "constants")
     rhs = obj.get("rhs")
     if rhs is not None:
         rhs = decode_element(spec, rhs)
@@ -104,50 +96,41 @@ def _cmd_decide(args, payload):
 
 
 def _cmd_solve(args, payload):
+    """solve, or with the oracle verb the oracle's solver.  Every solver
+    checks its witness before it returns it, so it is printed as verified."""
     eq = decode_equation(payload)
-    rng = numtheory.Rng(args.seed)
-    method, _, solve = _route(eq, args.force_oracle, rng)
+    oracle = args.verb == "oracle"
+    method, _, solve = _route(eq, args.force_oracle or oracle,
+                              numtheory.Rng(args.seed))
     sol = solve(eq)
-    if sol is None:
-        return {"solvable": False, "method": method}
-    if not core.verify(eq, sol):
-        raise RuntimeError(f"{method} witness fails verification")
-    return {"solvable": True, "method": method, "verified": True,
-            "conjugators": [encode_element(eq.group, z)
-                            for z in sol.conjugators]}
+    report = {"solvable": sol is not None,
+              "method": "brute" if oracle else method}
+    if sol is not None:
+        report.update(verified=True, conjugators=[
+            encode_element(eq.group, z) for z in sol.conjugators])
+    return report
 
 
 def _cmd_verify(args, payload):
     eq = decode_equation(payload)
-    sol = Solution([decode_element(eq.group, z)
-                    for z in payload["conjugators"]])
+    sol = Solution(_elements(eq.group, payload, "conjugators"))
     return {"verified": core.verify(eq, sol)}
 
 
 def _cmd_reduce(args, payload):
     if args.reduction == "3part":
+        a = _field(payload, "a")
         if payload.get("alternating"):
-            eq = perm.reduce_3partition_an(payload["a"])
+            eq = perm.reduce_3partition_an(a)
         else:
-            eq = perm.reduce_3partition(payload["a"])
+            eq = perm.reduce_3partition(a)
     elif args.reduction == "partition":
-        eq = dihedral.reduce_partition(payload["a"])
-    elif args.reduction == "xcover":
-        eq = semidirect.reduce_xcover(payload["k"], payload["subsets"],
-                                      payload["m"])
-    else:
-        raise ValueError(f"unknown reduction {args.reduction!r}")
+        eq = dihedral.reduce_partition(_field(payload, "a"))
+    else:  # xcover; argparse admits no other reduction
+        eq = semidirect.reduce_xcover(_field(payload, "k"),
+                                      _field(payload, "subsets"),
+                                      _field(payload, "m"))
     return encode_equation(eq)
-
-
-def _cmd_oracle(args, payload):
-    eq = decode_equation(payload)
-    sol = core.solve_brute(eq)
-    if sol is None:
-        return {"solvable": False, "method": "brute"}
-    return {"solvable": True, "method": "brute", "verified": True,
-            "conjugators": [encode_element(eq.group, z)
-                            for z in sol.conjugators]}
 
 
 def _cmd_saturation(args, payload):
@@ -157,8 +140,8 @@ def _cmd_saturation(args, payload):
 
 
 def _cmd_classify(args, payload):
-    (a, b), (c, d) = payload["rows"]
-    mat = mat2.Mat2(payload["p"], a, b, c, d)
+    spec = decode_group({"family": "gl2p", "p": _field(payload, "p")})
+    mat = decode_element(spec, payload)
     return {"type": mat2.classify(mat), "trace": mat.trace(),
             "det": mat.det(), "discriminant": mat2.discriminant(mat)}
 
@@ -168,7 +151,7 @@ _VERBS = {
     "solve": _cmd_solve,
     "verify": _cmd_verify,
     "reduce": _cmd_reduce,
-    "oracle": _cmd_oracle,
+    "oracle": _cmd_solve,
     "saturation": _cmd_saturation,
     "classify": _cmd_classify,
 }
@@ -215,9 +198,16 @@ def main(argv=None) -> int:
                 payload = json.load(fh)
         else:
             payload = json.load(sys.stdin)
-        if args.verb == "reduce" and args.reduction is None:
-            print("reduce requires --from", file=sys.stderr)
-            return EXIT_INPUT
+    # a missing file, bytes that are not UTF-8 JSON (JSONDecodeError and
+    # UnicodeDecodeError are ValueErrors, and so is an integer literal over
+    # the interpreter's digit limit), or arrays nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.verb == "reduce" and args.reduction is None:
+        print("input error: reduce requires --from", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         report = _VERBS[args.verb](args, payload)
     except TooLargeError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
@@ -225,7 +215,7 @@ def main(argv=None) -> int:
     except numtheory.RetryExhausted as exc:
         print(f"retry exhausted: {exc}", file=sys.stderr)
         return EXIT_RETRY
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     text = json.dumps(report, sort_keys=True) + "\n"

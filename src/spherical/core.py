@@ -10,20 +10,24 @@ import random
 CAP = 10**4
 
 
+class InputError(ValueError):
+    """A payload the program cannot take: a missing or mistyped field, an
+    element outside its group, a bad table or reduction instance.  Raised
+    only where input from outside enters; a broken precondition inside a
+    kernel is a plain ValueError, and a bug."""
+
+
 class TooLargeError(Exception):
     pass
 
 
-class LengthMismatchError(ValueError):
-    pass
-
-
-class MalformedElementError(ValueError):
-    pass
-
-
-class BadTableError(ValueError):
-    pass
+def int_list(vals, what):
+    """vals, when it is a list, tuple or set of integers (a bool is not
+    one); otherwise an InputError naming what."""
+    if (type(vals) not in (list, tuple, set, frozenset)
+            or not set(map(type, vals)) <= {int}):
+        raise InputError(f"{what} must be a list of integers, not {vals!r}")
+    return vals
 
 
 class CayleyElement:
@@ -89,24 +93,24 @@ class CayleyTable:
     def __init__(self, mul):
         n = len(mul)
         if any(len(row) != n for row in mul):
-            raise BadTableError("table is not square")
+            raise InputError("table is not square")
         full = set(range(n))
         for row in mul:
             # True == 1 and 1.0 == 1, so a row of bools or floats would pass
             if set(map(type, row)) != {int}:
-                raise BadTableError("table entries must be integers")
+                raise InputError("table entries must be integers")
             if set(row) != full:
-                raise BadTableError("row is not a permutation")
+                raise InputError("row is not a permutation")
         for j in range(n):
             if {mul[i][j] for i in range(n)} != full:
-                raise BadTableError("column is not a permutation")
+                raise InputError("column is not a permutation")
         ident = None
         for e in range(n):
             if all(mul[e][x] == x and mul[x][e] == x for x in range(n)):
                 ident = e
                 break
         if ident is None:
-            raise BadTableError("no identity element")
+            raise InputError("no identity element")
         # Light's test: the elements s with (x s) y == x (s y) for all x, y
         # are closed under products and hold the identity, so checking the
         # generators of the closure under right multiplication is exact.
@@ -116,7 +120,7 @@ class CayleyTable:
             for x in range(n):
                 row_x = mul[x]
                 if list(mul[row_x[s]]) != [row_x[t] for t in row_s]:
-                    raise BadTableError("associativity fails")
+                    raise InputError("associativity fails")
         inv = [None] * n
         for i in range(n):
             for j in range(n):
@@ -144,13 +148,28 @@ class GroupSpec:
         from .families import FAMILIES
         record = FAMILIES.get(family) if type(family) is str else None
         if record is None:
-            raise MalformedElementError(f"unknown family {family!r}")
+            raise InputError(f"unknown family {family!r}")
+        for key, val in (("n", n), ("p", p), ("m", m), ("k", k)):
+            # bool is an int subclass, and a float p reaches pow() as a modulus
+            if val is not None and type(val) is not int:
+                raise InputError(
+                    f"group field {key!r} must be an integer, not {val!r}")
         if table is not None:
+            if (type(table) not in (list, tuple)
+                    or not set(map(type, table)) <= {list, tuple}):
+                raise InputError("group field 'table' must be a list of rows")
             table = tuple(tuple(row) for row in table)
         key = (family, n, p, m, k, table)
+        # CayleyTable checks that the entries are integers when it is built;
+        # checking each entry here would cost more than the hash, on every
+        # request for a table group
+        try:
+            key_hash = hash(key)
+        except TypeError:  # an entry that is a list or an object
+            raise InputError("table entries must be integers") from None
         vars(self).update(family=family, n=n, p=p, m=m, k=k, table=table,
                           _family=record, _identity=None, _key=key,
-                          _hash=hash(key))
+                          _hash=key_hash)
         record.check(self)
 
     def __setattr__(self, name, value):
@@ -250,7 +269,7 @@ def normalize(eq: SphericalEquation) -> SphericalEquation:
 
 def verify(eq: SphericalEquation, sol: Solution) -> bool:
     if len(sol.conjugators) != len(eq.constants):
-        raise LengthMismatchError(
+        raise InputError(
             f"{len(sol.conjugators)} conjugators for {len(eq.constants)} constants")
     acc = eq.group.identity()
     for c, z in zip(eq.constants, sol.conjugators):
@@ -273,56 +292,15 @@ def reinflate(eq: SphericalEquation, zs) -> Solution:
     if eq.rhs is not None and eq.rhs != ident:
         zr_inv = next(it).inverse()
         full = [z * zr_inv for z in full]
-    sol = Solution(full)
+    return checked(eq, Solution(full))
+
+
+def checked(eq: SphericalEquation, sol: Solution) -> Solution:
+    """sol, once verify accepts it: an explicit raise, which python -O
+    keeps, so no solver can emit a wrong witness."""
     if not verify(eq, sol):
         raise RuntimeError("witness fails verification")
     return sol
-
-
-def _swap_adjacent(constants, conjugators, i):
-    """Exchange constants i and i+1, rewriting the conjugators so the product
-    of conjugates is unchanged: x^-1 c x . y^-1 d y = yt^-1 d yt . x^-1 c x
-    with yt = y x^-1 c^-1 x."""
-    c, d = constants[i], constants[i + 1]
-    out_c = list(constants)
-    out_c[i], out_c[i + 1] = d, c
-    out_z = None
-    if conjugators is not None:
-        x, y = conjugators[i], conjugators[i + 1]
-        yt = y * (x.inverse() * c.inverse() * x)
-        out_z = list(conjugators)
-        out_z[i], out_z[i + 1] = yt, x
-    return out_c, out_z
-
-
-def reorder_equiv(eq: SphericalEquation, perm: list):
-    """Return the equation with constants permuted (new[j] = old[perm[j]])
-    plus a map taking any solution of the new equation to one of the original.
-    """
-    k = len(eq.constants)
-    if sorted(perm) != list(range(k)):
-        raise MalformedElementError("perm must be a bijection on indices")
-    # Record the adjacent swaps that bubble the original order into the
-    # requested one; undoing them in reverse maps solutions back.
-    swaps = []
-    target = list(perm)
-    cur = list(range(k))
-    for j in range(k):
-        i = cur.index(target[j])
-        while i > j:
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-            swaps.append(i - 1)
-            i -= 1
-    new_constants = [eq.constants[t] for t in target]
-
-    def map_back(sol: Solution) -> Solution:
-        cs = list(new_constants)
-        zs = list(sol.conjugators)
-        for i in reversed(swaps):
-            cs, zs = _swap_adjacent(cs, zs, i)
-        return Solution(zs)
-
-    return SphericalEquation(eq.group, new_constants, eq.rhs), map_back
 
 
 class ConjClassTable:
@@ -406,7 +384,7 @@ class ConjClassTable:
         """z with z^-1 c z = target, for c and target in the same class."""
         i, j = self.index[c], self.index[target]
         if self.class_of[i] != self.class_of[j]:
-            raise MalformedElementError("elements are not conjugate")
+            raise ValueError("elements are not conjugate")
         return self.witness[i].inverse() * self.witness[j]
 
 

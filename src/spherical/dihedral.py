@@ -7,7 +7,7 @@ rotations and some signed sum of the a_i vanishes mod n, or there are at
 least two reflections and (n odd, or an even number of odd a_i).
 """
 
-from .core import (GroupSpec, SphericalEquation, MalformedElementError,
+from .core import (GroupSpec, InputError, SphericalEquation, int_list,
                    normalize, reinflate, signed_sum_signs)
 
 
@@ -16,14 +16,14 @@ class DihedralElement:
 
     def __init__(self, k, delta, n):
         if delta not in (1, -1):
-            raise MalformedElementError("delta must be +-1")
+            raise InputError("delta must be +-1")
         self.k = k % n
         self.delta = delta
         self.n = n
 
     def __mul__(self, other):
         if self.n != other.n:
-            raise MalformedElementError("mixed moduli")
+            raise ValueError("mixed moduli")
         return DihedralElement(self.k + self.delta * other.k,
                                self.delta * other.delta, self.n)
 
@@ -52,7 +52,7 @@ class Et2Element:
         self.e2 = e2 % n
         self.n = n
         if self.e1 not in (1 % n, n - 1) or self.e2 not in (1 % n, n - 1):
-            raise MalformedElementError("diagonal entries must be +-1 mod n")
+            raise InputError("diagonal entries must be +-1 mod n")
 
     def __mul__(self, other):
         n = self.n
@@ -77,12 +77,12 @@ class Et2Element:
 
 def _prepare(eq: SphericalEquation):
     if eq.group.family != "dihedral":
-        raise MalformedElementError("expected a dihedral equation")
+        raise ValueError("expected a dihedral equation")
     eqn = normalize(eq)
     n = eq.group.n
     for c in eqn.constants:
         if not isinstance(c, DihedralElement) or c.n != n:
-            raise MalformedElementError(f"bad constant {c!r}")
+            raise ValueError(f"bad constant {c!r}")
     return eqn, n
 
 
@@ -178,9 +178,9 @@ def solve_dn(eq: SphericalEquation):
 def reduce_partition(a) -> SphericalEquation:
     """Partition instance -> rotation constants (a_i, 1) over D_n with
     n = 1 + sum(a); solvable iff the instance splits into equal halves."""
-    a = list(a)
+    a = list(int_list(a, "Partition field 'a'"))
     if not a or any(x < 1 for x in a):
-        raise MalformedElementError("need positive integers")
+        raise InputError("need positive integers")
     n = 1 + sum(a)
     spec = GroupSpec("dihedral", n=n)
     return SphericalEquation(spec, [DihedralElement(x, 1, n) for x in a])

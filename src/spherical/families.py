@@ -13,7 +13,7 @@ import itertools
 import math
 
 from . import core, dihedral, highdim, mat2, numtheory, perm, semidirect
-from .core import CayleyElement, MalformedElementError
+from .core import CAP, CayleyElement, InputError, TooLargeError, int_list
 from .dihedral import DihedralElement, Et2Element
 from .highdim import HeisenbergElement, UT4Element
 from .mat2 import Mat2
@@ -21,7 +21,8 @@ from .perm import Permutation
 from .semidirect import SemidirectElement
 
 Family = collections.namedtuple("Family", (
-    "check",     # check(spec): raise MalformedElementError on bad parameters
+    "check",     # check(spec): raise InputError or TooLargeError on bad
+                 # parameters, before any work
     "order",     # order(spec) -> |G|
     "identity",  # identity(spec) -> the identity element
     "elements",  # elements(spec) -> iterator over every element
@@ -32,34 +33,46 @@ Family = collections.namedtuple("Family", (
 ))
 
 
+def _field(obj, key):
+    """obj[key], where obj must be a JSON object holding key."""
+    if type(obj) is not dict:
+        raise InputError(f"expected a JSON object with field {key!r}, "
+                         f"not a {type(obj).__name__}")
+    if key not in obj:
+        raise InputError(f"missing field {key!r}")
+    return obj[key]
+
+
 def _int(obj, key):
-    val = obj[key]
+    val = _field(obj, key)
     # bool is an int subclass, so {"idx": true} would pass for 1
     if type(val) is not int:
-        raise MalformedElementError(
+        raise InputError(
             f"element field {key!r} must be an integer, not {val!r}")
     return val
 
 
-def _ints(key, vals):
-    """vals, which must be a list of integers, from element field key."""
-    if type(vals) is not list or not set(map(type, vals)) <= {int}:
-        raise MalformedElementError(
-            f"element field {key!r} must be a list of integers, not {vals!r}")
-    return vals
+def _ints(obj, key):
+    return int_list(_field(obj, key), f"element field {key!r}")
 
 
-def _need_n(least):
+def _need_n(least, most=None):
+    """A check that n >= least, and n <= most when most is given: n then
+    sets the group's size, and so what an element or a table costs."""
     def check(spec):
         if spec.n is None or spec.n < least:
-            raise MalformedElementError(
-                f"{spec.family} needs n >= {least}")
+            raise InputError(f"{spec.family} needs n >= {least}")
+        if most is not None and spec.n > most:
+            raise TooLargeError(f"{spec.family} field 'n' is above {most}")
     return check
 
 
 def _need_prime(spec):
+    # is_prime's Miller-Rabin bases are proven below 2^64 only
+    if spec.p is not None and spec.p >= 1 << 64:
+        raise TooLargeError(f"{spec.family} field 'p' is not below 2^64")
     if spec.p is None or not numtheory.is_prime(spec.p):
-        raise MalformedElementError(f"{spec.family} needs a prime p")
+        raise InputError(f"{spec.family} needs a prime p")
 
 
 def _fixed(method, decide, solve):
@@ -72,17 +85,20 @@ _oracle = _fixed("cayley-dp", core.decide_cayley, core.solve_brute)
 
 def _check_cayley(spec):
     if spec.table is None:
-        raise MalformedElementError("cayley family needs a table")
+        raise InputError("cayley family needs a table")
 
 
 def _check_heisenberg(spec):
-    _need_n(3)(spec)
+    # the vector parts have n - 2 entries
+    _need_n(3, CAP + 2)(spec)
     _need_prime(spec)
 
 
 def _check_semidirect(spec):
     if spec.m is None or spec.m < 2 or spec.k is None or spec.k < 1:
-        raise MalformedElementError("semidirect needs m >= 2, k >= 1")
+        raise InputError("semidirect needs m >= 2, k >= 1")
+    if spec.k > CAP:
+        raise TooLargeError(f"semidirect field 'k' is above {CAP}")
 
 
 def _own_field(spec, obj, key, shown):
@@ -91,28 +107,32 @@ def _own_field(spec, obj, key, shown):
     names the element, and runs only then: a permutation's repr walks its
     cycles."""
     if key in obj and _int(obj, key) != getattr(spec, key):
-        raise MalformedElementError(
+        raise InputError(
             f"{shown()} has {key} = {obj[key]}, the {spec.family} group has "
             f"{key} = {getattr(spec, key)}")
 
 
 def _decode_mat2(spec, obj):
-    (a, b), (c, d) = obj["rows"]
-    _ints("rows", [a, b, c, d])
+    rows = _field(obj, "rows")
+    if (type(rows) is not list or len(rows) != 2
+            or any(type(row) is not list or len(row) != 2 for row in rows)):
+        raise InputError(
+            f"element field 'rows' must be a 2x2 list of integers, not {rows!r}")
+    a, b, c, d = int_list(rows[0] + rows[1], "element field 'rows'")
     _own_field(spec, obj, "p", lambda: f"[[{a},{b}],[{c},{d}]]")
     return Mat2(spec.p, a, b, c, d)
 
 
 def _decode_perm(spec, obj):
-    x = Permutation(_ints("images", obj["images"]))
+    x = Permutation(_ints(obj, "images"))
     _own_field(spec, obj, "n", x.__repr__)
     return x
 
 
 def _decode_semidirect(spec, obj):
-    vec = _ints("vec", obj["vec"])
+    vec = _ints(obj, "vec")
     if len(vec) != spec.k:
-        raise MalformedElementError(
+        raise InputError(
             f"vec has length {len(vec)}, the group has k = {spec.k}")
     return SemidirectElement(vec, _int(obj, "sign"), spec.m)
 
@@ -155,7 +175,7 @@ def _heisenberg_elements(spec):
 
 
 _SYMMETRIC = Family(
-    check=_need_n(1),
+    check=_need_n(1, CAP),
     order=lambda s: math.factorial(s.n),
     identity=lambda s: Permutation.identity(s.n),
     elements=lambda s: map(Permutation,
@@ -242,8 +262,7 @@ FAMILIES = {
             (0,) * (s.n - 2), 0, (0,) * (s.n - 2), s.n, s.p),
         elements=_heisenberg_elements,
         decode=lambda s, o: HeisenbergElement(
-            _ints("alpha1", o["alpha1"]), _int(o, "a2"),
-            _ints("alpha3", o["alpha3"]), s.n, s.p),
+            _ints(o, "alpha1"), _int(o, "a2"), _ints(o, "alpha3"), s.n, s.p),
         encode=lambda x: {"alpha1": list(x.a1), "a2": x.a2,
                           "alpha3": list(x.a3)},
         contains=lambda s, x: (x.n, x.p) == (s.n, s.p),
@@ -255,7 +274,7 @@ FAMILIES = {
         identity=lambda s: UT4Element(s.p, (0,) * 6),
         elements=lambda s: (UT4Element(s.p, e) for e in
                             itertools.product(range(s.p), repeat=6)),
-        decode=lambda s, o: UT4Element(s.p, _ints("entries", o["entries"])),
+        decode=lambda s, o: UT4Element(s.p, _ints(o, "entries")),
         encode=lambda x: {"entries": list(x.e)},
         contains=lambda s, x: x.p == s.p,
         route=_fixed("ut4-closed-form", highdim.decide_ut4,

@@ -7,12 +7,7 @@ the X_i and C_i.  Deciding solvability reduces to a handful of linear (or,
 for UT(4,p), one bilinear) equations over Z_p.
 """
 
-from .core import (SphericalEquation, MalformedElementError, normalize,
-                   reinflate)
-
-
-class DimensionMismatchError(ValueError):
-    pass
+from .core import SphericalEquation, InputError, normalize, reinflate
 
 
 def _vadd(u, v, p):
@@ -36,11 +31,11 @@ class HeisenbergElement:
         self.a2 = a2 % p
         self.a3 = tuple(x % p for x in a3)
         if len(self.a1) != n - 2 or len(self.a3) != n - 2:
-            raise DimensionMismatchError("vector parts must have length n-2")
+            raise InputError("vector parts must have length n-2")
 
     def __mul__(self, other):
         if (self.n, self.p) != (other.n, other.p):
-            raise DimensionMismatchError("mixed groups")
+            raise ValueError("mixed groups")
         p = self.p
         return HeisenbergElement(
             _vadd(self.a1, other.a1, p),
@@ -75,13 +70,13 @@ class UT4Element:
     def __init__(self, p, e):
         e = tuple(x % p for x in e)
         if len(e) != 6:
-            raise MalformedElementError("need six entries")
+            raise InputError("need six entries")
         self.p = p
         self.e = e
 
     def __mul__(self, other):
         if self.p != other.p:
-            raise MalformedElementError("mixed moduli")
+            raise ValueError("mixed moduli")
         p = self.p
         a1, a2, a3, a4, a5, a6 = self.e
         b1, b2, b3, b4, b5, b6 = other.e
@@ -180,11 +175,11 @@ def solve_bilinear(alpha, beta, delta, zeta, p):
 
 def _prepare(eq: SphericalEquation, family, cls):
     if eq.group.family != family:
-        raise MalformedElementError(f"expected a {family} equation")
+        raise ValueError(f"expected a {family} equation")
     eqn = normalize(eq)
     for c in eqn.constants:
         if not isinstance(c, cls):
-            raise MalformedElementError(f"bad constant {c!r}")
+            raise ValueError(f"bad constant {c!r}")
     return eqn
 
 

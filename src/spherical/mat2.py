@@ -8,29 +8,9 @@ P^-1 A P = J where J is the canonical representative of A's conjugacy class
 """
 
 from . import numtheory
-from .core import (GroupSpec, SphericalEquation, Solution, normalize,
-                   reinflate, reorder_equiv, decide_cayley, solve_brute)
+from .core import (SphericalEquation, normalize, reinflate, decide_cayley,
+                   solve_brute)
 from .numtheory import Rng, legendre, sqrt_mod, solve_weighted_trace
-
-
-class SingularMatrixError(ValueError):
-    pass
-
-
-class ModulusMismatchError(ValueError):
-    pass
-
-
-class NotConjugateError(ValueError):
-    pass
-
-
-class ScalarInputError(ValueError):
-    pass
-
-
-class NotTriangularError(ValueError):
-    pass
 
 
 class Mat2:
@@ -58,7 +38,7 @@ class Mat2:
 
     def __mul__(self, other):
         if self.p != other.p:
-            raise ModulusMismatchError("mixed moduli")
+            raise ValueError("mixed moduli")
         p = self.p
         return Mat2(p,
                     self.a * other.a + self.b * other.c,
@@ -69,7 +49,7 @@ class Mat2:
     def inverse(self):
         dt = self.det()
         if dt == 0:
-            raise SingularMatrixError("singular matrix")
+            raise ValueError("singular matrix")
         di = pow(dt, self.p - 2, self.p)
         return Mat2(self.p, self.d * di, -self.b * di,
                     -self.c * di, self.a * di)
@@ -101,7 +81,7 @@ def classify(A: Mat2) -> str:
     """Type tag by the discriminant of the characteristic polynomial:
     nonzero square -> type1, nonsquare -> type2, zero -> type3 or scalar."""
     if A.det() == 0:
-        raise SingularMatrixError("singular matrix")
+        raise ValueError("singular matrix")
     if A.is_scalar():
         return SCALAR
     xi = discriminant(A)
@@ -112,7 +92,7 @@ def classify(A: Mat2) -> str:
 
 def conjugate_check(A: Mat2, B: Mat2) -> bool:
     if A.p != B.p:
-        raise ModulusMismatchError("mixed moduli")
+        raise ValueError("mixed moduli")
     if A.is_scalar() or B.is_scalar():
         return A == B
     return A.trace() == B.trace() and A.det() == B.det()
@@ -161,7 +141,7 @@ def canonicalize(A: Mat2, rng: Rng | None = None):
 def conjugator(A: Mat2, B: Mat2, rng: Rng | None = None) -> Mat2:
     """Z with Z^-1 B Z = A."""
     if not conjugate_check(A, B):
-        raise NotConjugateError(f"{A!r} and {B!r} are not conjugate")
+        raise ValueError(f"{A!r} and {B!r} are not conjugate")
     if A.is_scalar():
         return Mat2.identity(A.p)
     ja, pa = canonicalize(A, rng)
@@ -241,7 +221,7 @@ def _tt_against_type3(A: Mat2, J: Mat2, k: int, rng: Rng):
     elif c != 0 or (a - d) % p != 0:
         y, z = 1, 0
     else:
-        raise ScalarInputError("scalar matrix in trace-target")
+        raise ValueError("scalar matrix in trace-target")
     return complete(y, z, 1)
 
 
@@ -249,7 +229,7 @@ def trace_reachable(A: Mat2, B: Mat2, k: int) -> bool:
     """Deterministic membership test k in T(A,B) = tr{A B^Z}."""
     ta, tb = classify(A), classify(B)
     if SCALAR in (ta, tb):
-        raise ScalarInputError("trace set needs non-scalar matrices")
+        raise ValueError("trace set needs non-scalar matrices")
     if TYPE3 not in (ta, tb):
         return True
     if tb != TYPE3:
@@ -271,7 +251,7 @@ def trace_target(A: Mat2, B: Mat2, k: int, rng: Rng):
     A0, B0 = A, B
     ta, tb = classify(A), classify(B)
     if SCALAR in (ta, tb):
-        raise ScalarInputError("trace target needs non-scalar matrices")
+        raise ValueError("trace target needs non-scalar matrices")
     # prefer a type-1 matrix in the B slot, then type-3, then type-2/type-2
     want_swap = (tb != TYPE1 and ta == TYPE1) or \
         (TYPE1 not in (ta, tb) and tb != TYPE3 and ta == TYPE3)
@@ -302,7 +282,7 @@ def type3_type3_solve(a_eig: int, s_eig: int, sgn: int, p: int, rng: Rng):
     """(Z2, Z3) with [[a,1],[0,a]] * ([[s,1],[0,s]])^Z2 = ([[e,1],[0,e]])^Z3
     where e = sgn * a * s."""
     if p < 3 or a_eig % p == 0 or s_eig % p == 0:
-        raise numtheory.PreconditionError("need p >= 3 and nonzero eigenvalues")
+        raise ValueError("need p >= 3 and nonzero eigenvalues")
     a, s = a_eig % p, s_eig % p
     A = Mat2(p, a, 1, 0, a)
     B = Mat2(p, s, 1, 0, s)
@@ -324,13 +304,13 @@ def type3_type3_solve(a_eig: int, s_eig: int, sgn: int, p: int, rng: Rng):
 
 def _require_triangular(eq):
     if eq.group.family not in ("tl2p", "gl2p", "sl2p"):
-        raise NotTriangularError("expected a matrix-group equation")
+        raise ValueError("expected a matrix-group equation")
     eqn = normalize(eq)
     for C in eqn.constants:
         if C.c != 0:
-            raise NotTriangularError(f"{C!r} is not upper triangular")
+            raise ValueError(f"{C!r} is not upper triangular")
         if C.a == 0 or C.d == 0:
-            raise SingularMatrixError(f"{C!r} is singular")
+            raise ValueError(f"{C!r} is singular")
     return eqn
 
 
@@ -421,7 +401,7 @@ def decide_gl2(eq: SphericalEquation) -> bool:
     eqn = normalize(eq)
     for C in eqn.constants:
         if C.det() == 0:
-            raise SingularMatrixError(f"{C!r} is singular")
+            raise ValueError(f"{C!r} is singular")
     nonscalar, scal = _fold_scalars(eqn.constants)
     if not nonscalar:
         return scal is None or scal == Mat2.identity(p)
@@ -469,9 +449,11 @@ def _solve_triple(cs, rng):
         # the canonical identity A_c J^W (T^-1)^V = 1 conjugated by p1^-1
         # lands on the original constants
         return [I, p2 * W * p1.inverse(), pt * V * p1.inverse()]
-    # rotate a non-type-3 constant into the target slot
+    # rotate a non-type-3 constant into the target slot: a cyclic shift of
+    # a product equal to 1 is a conjugate of it, so is 1 too, and each
+    # conjugator goes back to its constant's own position unchanged
     i3 = next(i for i in range(3) if types[i] != TYPE3)
-    order = [i for i in range(3) if i != i3] + [i3]
+    order = [(i3 + 1) % 3, (i3 + 2) % 3, i3]
     A, B, C = cs[order[0]], cs[order[1]], cs[order[2]]
     Z2 = trace_target(A, B, C.inverse().trace(), rng)
     if Z2 is None:
@@ -484,14 +466,6 @@ def _solve_triple(cs, rng):
     out = [None, None, None]
     for slot, idx in enumerate(order):
         out[idx] = zs_perm[slot]
-    if order != [0, 1, 2]:
-        # the conjugators solve the permuted equation; map them back
-        # through the swap rewriting to solve the original order
-        spec = GroupSpec("gl2p", p=p)
-        base = SphericalEquation(spec, list(cs))
-        permuted, back = reorder_equiv(base, order)
-        sol = back(Solution(zs_perm))
-        out = sol.conjugators
     return out
 
 

@@ -7,18 +7,6 @@ through an explicit Rng so that runs are reproducible from a seed.
 import random
 
 
-class NonResidueError(ValueError):
-    pass
-
-
-class InvalidModulusError(ValueError):
-    pass
-
-
-class PreconditionError(ValueError):
-    pass
-
-
 class RetryExhausted(RuntimeError):
     pass
 
@@ -29,9 +17,6 @@ class Rng:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._r = random.Random(seed)
-
-    def below(self, n: int) -> int:
-        return self._r.randrange(n)
 
     def residue(self, p: int) -> int:
         return self._r.randrange(p)
@@ -95,7 +80,7 @@ def sqrt_mod(c: int, p: int, rng: Rng | None = None) -> int:
     if p == 2:
         return c
     if legendre(c, p) != 1:
-        raise NonResidueError(f"{c} is not a square mod {p}")
+        raise ValueError(f"{c} is not a square mod {p}")
     if p % 4 == 3:
         return pow(c, (p + 1) // 4, p)
     q = p - 1
@@ -126,11 +111,11 @@ def solve_bivariate(k: int, m: int, p: int, rng: Rng) -> tuple[int, int]:
     """Find (x, y) with x^2 - k*y^2 = m mod p by sampling y until m + k*y^2
     is a square."""
     if p == 2:
-        raise InvalidModulusError("p must be odd")
+        raise ValueError("p must be odd")
     k %= p
     m %= p
     if k == 0 or m == 0:
-        raise InvalidModulusError("k and m must be nonzero mod p")
+        raise ValueError("k and m must be nonzero mod p")
     if legendre(m, p) == 1:
         return sqrt_mod(m, p), 0
     for _ in range(_retry_budget(p)):
@@ -149,12 +134,12 @@ def solve_weighted_trace(k: int, t: int, b: int, p: int, rng: Rng) -> tuple[int,
     which cannot strand us: u = 0 forces t = x^2, impossible for nonsquare t.
     """
     if p < 3:
-        raise PreconditionError("p must be an odd prime")
+        raise ValueError("p must be an odd prime")
     k %= p
     t %= p
     b %= p
     if legendre(t, p) != -1 or legendre(b, p) != -1:
-        raise PreconditionError("t and b must be quadratic nonresidues")
+        raise ValueError("t and b must be quadratic nonresidues")
     inv2b = pow(2 * b, p - 2, p)
     if (k * k - 4 * b * t) % p == 0:
         # the discriminant is 4b*x^2, a nonsquare for every x != 0, so x = 0
@@ -170,45 +155,3 @@ def solve_weighted_trace(k: int, t: int, b: int, p: int, rng: Rng) -> tuple[int,
             if u != 0:
                 return u, x
     raise RetryExhausted("solve_weighted_trace exceeded the retry budget")
-
-
-class QuadExt:
-    """Element a + b*sqrt(xi) of Z_p[sqrt(xi)] for a fixed nonresidue xi."""
-
-    def __init__(self, a: int, b: int, xi: int, p: int):
-        self.a = a % p
-        self.b = b % p
-        self.xi = xi % p
-        self.p = p
-
-    def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.xi}) mod {self.p})"
-
-    def __eq__(self, other):
-        return (self.a, self.b, self.xi, self.p) == (other.a, other.b, other.xi, other.p)
-
-    def __add__(self, other):
-        return QuadExt(self.a + other.a, self.b + other.b, self.xi, self.p)
-
-    def __sub__(self, other):
-        return QuadExt(self.a - other.a, self.b - other.b, self.xi, self.p)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadExt(self.a * other, self.b * other, self.xi, self.p)
-        a = self.a * other.a + self.xi * self.b * other.b
-        b = self.a * other.b + self.b * other.a
-        return QuadExt(a, b, self.xi, self.p)
-
-    def conj(self):
-        return QuadExt(self.a, -self.b, self.xi, self.p)
-
-    def norm(self) -> int:
-        return (self.a * self.a - self.xi * self.b * self.b) % self.p
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("non-invertible quadratic extension element")
-        ninv = pow(n, self.p - 2, self.p)
-        return self.conj() * ninv

@@ -6,23 +6,10 @@ Points are 1-based.  Composition applies the right factor first:
 through x^-1.
 """
 
-from .core import GroupSpec, SphericalEquation, Solution
+from .core import GroupSpec, InputError, SphericalEquation, Solution, int_list
 
-
-class DegreeMismatchError(ValueError):
-    pass
-
-
-class NotConjugateError(ValueError):
-    pass
-
-
-class MalformedInstanceError(ValueError):
-    pass
-
-
-class InvalidCertificateError(ValueError):
-    pass
+# the name reduction callers have long caught
+MalformedInstanceError = InputError
 
 
 class Permutation:
@@ -31,7 +18,7 @@ class Permutation:
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("images must be a bijection on 1..n")
+            raise InputError("images must be a bijection on 1..n")
         self.images = images
 
     @classmethod
@@ -54,7 +41,7 @@ class Permutation:
 
     def __mul__(self, other):
         if self.n != other.n:
-            raise DegreeMismatchError("degrees differ")
+            raise ValueError("degrees differ")
         return Permutation(self.images[j - 1] for j in other.images)
 
     def inverse(self):
@@ -121,14 +108,14 @@ def cycle_type(s: Permutation):
 
 def conjugate_check(s: Permutation, t: Permutation) -> bool:
     if s.n != t.n:
-        raise DegreeMismatchError("degrees differ")
+        raise ValueError("degrees differ")
     return cycle_type(s) == cycle_type(t)
 
 
 def conjugator(s: Permutation, t: Permutation) -> Permutation:
     """x with x^-1 s x = t, by aligning canonical cycle decompositions."""
     if not conjugate_check(s, t):
-        raise NotConjugateError(f"{s!r} and {t!r} are not conjugate")
+        raise ValueError(f"{s!r} and {t!r} are not conjugate")
     cs = sorted(cycle_decompose(s), key=len)
     ct = sorted(cycle_decompose(t), key=len)
     images = [0] * s.n
@@ -142,18 +129,22 @@ def conjugator(s: Permutation, t: Permutation) -> Permutation:
     return Permutation(images)
 
 
-def _check_3partition(a):
+def _check_3partition(a, alternating=False):
+    """(values, k, L) for a 3-Partition instance a, its values doubled for
+    the A_n variant."""
+    a = [2 * x if alternating else x
+         for x in int_list(a, "3-Partition field 'a'")]
     if len(a) % 3 != 0 or not a:
-        raise MalformedInstanceError("need 3k positive integers")
+        raise InputError("need 3k positive integers")
     k = len(a) // 3
     total = sum(a)
     if total % k != 0:
-        raise MalformedInstanceError("sum must be divisible by k")
+        raise InputError("sum must be divisible by k")
     ell = total // k
     for x in a:
         if not (4 * x > ell and 4 * x < 2 * ell):
-            raise MalformedInstanceError(f"value {x} outside (L/4, L/2) for L={ell}")
-    return k, ell
+            raise InputError(f"value {x} outside (L/4, L/2) for L={ell}")
+    return a, k, ell
 
 
 def _blocks_rhs(k, ell, n):
@@ -170,8 +161,7 @@ def reduce_3partition(a) -> SphericalEquation:
     """Equation over S_n, n = k(L+1): constants are (a_i+1)-cycles on the
     initial segment, rhs is a product of k disjoint (L+1)-cycles; solvable
     iff the 3-Partition instance is positive."""
-    a = list(a)
-    k, ell = _check_3partition(a)
+    a, k, ell = _check_3partition(a)
     n = k * (ell + 1)
     spec = GroupSpec("symmetric", n=n)
     constants = [Permutation.from_cycle(tuple(range(1, x + 2)), n) for x in a]
@@ -181,8 +171,7 @@ def reduce_3partition(a) -> SphericalEquation:
 def reduce_3partition_an(a) -> SphericalEquation:
     """A_n variant: values doubled so all cycles have odd length, with two
     spare fixed points (n = k(L+1) + 2)."""
-    a2 = [2 * x for x in a]
-    k, ell = _check_3partition(a2)
+    a2, k, ell = _check_3partition(a, alternating=True)
     n = k * (ell + 1) + 2
     spec = GroupSpec("alternating", n=n)
     constants = [Permutation.from_cycle(tuple(range(1, x + 2)), n) for x in a2]
@@ -197,18 +186,17 @@ def certificate_to_solution(a, cert, alternating=False) -> Solution:
     onto consecutive overlapping segments so their product telescopes into
     the block cycle.
     """
-    a = [2 * x for x in a] if alternating else list(a)
-    k, ell = _check_3partition(a)
+    a, k, ell = _check_3partition(a, alternating)
     n = k * (ell + 1) + (2 if alternating else 0)
     # segments must meet the constants in equation order, so each triple is
     # used in ascending index order (blocks commute across triples)
     triples = [tuple(sorted(t)) for t in cert]
     flat = sorted(i for t in triples for i in t)
     if flat != list(range(3 * k)) or any(len(t) != 3 for t in triples):
-        raise InvalidCertificateError("certificate must partition the indices")
+        raise ValueError("certificate must partition the indices")
     for t in triples:
         if sum(a[i] for i in t) != ell:
-            raise InvalidCertificateError(f"triple {t} does not sum to L={ell}")
+            raise ValueError(f"triple {t} does not sum to L={ell}")
     zs = [None] * (3 * k)
     for i, t in enumerate(triples):
         off = i * (ell + 1)

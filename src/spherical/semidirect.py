@@ -9,14 +9,8 @@ so for sign-+1 constants deciding and solving are a search for signs, done
 by meet in the middle.
 """
 
-from .core import (GroupSpec, SphericalEquation, Solution, TooLargeError,
-                   MalformedElementError, signed_sum_signs, verify)
-from .perm import MalformedInstanceError, InvalidCertificateError
-
-
-class UnsupportedShapeError(ValueError):
-    pass
-
+from .core import (CAP, GroupSpec, InputError, SphericalEquation, Solution,
+                   TooLargeError, checked, int_list, signed_sum_signs, verify)
 
 SIGN_CAP = 32
 
@@ -26,14 +20,14 @@ class SemidirectElement:
 
     def __init__(self, vec, sign, m):
         if sign not in (1, -1):
-            raise MalformedElementError("sign must be +-1")
+            raise InputError("sign must be +-1")
         self.vec = tuple(v % m for v in vec)
         self.sign = sign
         self.m = m
 
     def __mul__(self, other):
         if self.m != other.m or len(self.vec) != len(other.vec):
-            raise MalformedElementError("mixed groups")
+            raise ValueError("mixed groups")
         return SemidirectElement(
             tuple(a + self.sign * b for a, b in zip(self.vec, other.vec)),
             self.sign * other.sign, self.m)
@@ -54,18 +48,33 @@ class SemidirectElement:
         return f"({list(self.vec)},{self.sign})"
 
 
-def _check_xcover(k, subsets):
+def _check_xcover(k, subsets, m):
+    """The subsets as sets, once the instance is checked; k + len(subsets)
+    is the group's k, checked before the tally of points."""
+    for key, val in (("k", k), ("m", m)):
+        if type(val) is not int:
+            raise InputError(
+                f"xcover field {key!r} must be an integer, not {val!r}")
+    if type(subsets) not in (list, tuple):
+        raise InputError(f"xcover field 'subsets' must be a list, "
+                         f"not {subsets!r}")
+    if k + len(subsets) > CAP:
+        raise TooLargeError(
+            f"xcover field 'k' plus the number of subsets is above {CAP}")
+    if m != 3 and m < 5:
+        raise InputError("m must be 3 or at least 5")
     if k < 1:
-        raise MalformedInstanceError("ground set must be nonempty")
-    occurrences = {j: 0 for j in range(1, k + 1)}
+        raise InputError("ground set must be nonempty")
+    subsets = [set(int_list(s, "each subset")) for s in subsets]
+    occurrences = [0] * (k + 1)
     for s in subsets:
-        s = set(s)
-        if not s or len(s) > 3 or not s <= set(range(1, k + 1)):
-            raise MalformedInstanceError(f"bad subset {sorted(s)}")
+        if not s or len(s) > 3 or not all(1 <= j <= k for j in s):
+            raise InputError(f"bad subset {sorted(s)}")
         for j in s:
             occurrences[j] += 1
-    if any(c > 3 for c in occurrences.values()):
-        raise MalformedInstanceError("some element occurs in more than 3 subsets")
+    if max(occurrences) > 3:
+        raise InputError("some element occurs in more than 3 subsets")
+    return subsets
 
 
 def reduce_xcover(k, subsets, m) -> SphericalEquation:
@@ -77,10 +86,7 @@ def reduce_xcover(k, subsets, m) -> SphericalEquation:
     subset A_i on the first k coordinates; constant ell+i additionally
     marks its own tally coordinate k+i.
     """
-    if m != 3 and m < 5:
-        raise MalformedInstanceError("m must be 3 or at least 5")
-    subsets = [set(s) for s in subsets]
-    _check_xcover(k, subsets)
+    subsets = _check_xcover(k, subsets, m)
     ell = len(subsets)
     dim = k + ell
     spec = GroupSpec("semidirect", m=m, k=dim)
@@ -105,9 +111,9 @@ def _signs(eq: SphericalEquation):
     exist.
     """
     if eq.group.family != "semidirect":
-        raise MalformedElementError("expected a semidirect equation")
+        raise ValueError("expected a semidirect equation")
     if any(c.sign != 1 for c in eq.constants):
-        raise UnsupportedShapeError("constants must all have sign +1")
+        raise ValueError("constants must all have sign +1")
     if eq.rhs is not None and eq.rhs.sign != 1:
         return None
     target = eq.rhs.vec if eq.rhs is not None else (0,) * eq.group.k
@@ -134,7 +140,7 @@ def solve_signvector(eq: SphericalEquation):
         return None
     ident = eq.group.identity()
     beta = SemidirectElement((0,) * eq.group.k, -1, eq.group.m)
-    return Solution([ident if e == 1 else beta for e in signs])
+    return checked(eq, Solution([ident if e == 1 else beta for e in signs]))
 
 
 def certificate_to_solution(k, subsets, m, cert) -> Solution:
@@ -145,19 +151,18 @@ def certificate_to_solution(k, subsets, m, cert) -> Solution:
     z_i = beta = (0,-1) for unselected i <= ell.  Every conjugate then has
     sign +1, so the conjugates commute and sum to the target directly.
     """
-    subsets = [set(s) for s in subsets]
-    _check_xcover(k, subsets)
+    subsets = _check_xcover(k, subsets, m)
     ell = len(subsets)
     chosen = set(cert)
     if not chosen <= set(range(1, ell + 1)):
-        raise InvalidCertificateError("certificate indexes unknown subsets")
+        raise ValueError("certificate indexes unknown subsets")
     covered = []
     for i in chosen:
         covered.extend(subsets[i - 1])
     if len(covered) != len(set(covered)):
-        raise InvalidCertificateError("selected subsets overlap")
+        raise ValueError("selected subsets overlap")
     if set(covered) != set(range(1, k + 1)):
-        raise InvalidCertificateError("selected subsets do not cover 1..k")
+        raise ValueError("selected subsets do not cover 1..k")
     dim = k + ell
     ident = SemidirectElement((0,) * dim, 1, m)
     beta = SemidirectElement((0,) * dim, -1, m)

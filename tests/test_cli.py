@@ -305,13 +305,68 @@ def test_cached_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
     assert not dest.exists()
 
 
-def test_solve_witness_gate_is_not_an_assert(monkeypatch, capsys):
-    payload = {"group": {"family": "dihedral", "n": 5},
-               "constants": [{"k": 1, "delta": 1}, {"k": 4, "delta": 1}]}
+WITNESS_ROUTES = {
+    "dihedral-criterion": (["solve"], {
+        "group": {"family": "dihedral", "n": 5},
+        "constants": [{"k": 1, "delta": 1}, {"k": 4, "delta": 1}]}),
+    "gl2-k2-conjugacy": (["solve"], gl2_eq(5, [[[1, 1], [0, 1]],
+                                               [[1, 4], [0, 1]]])),
+    "tl2-closed-form": (["solve"], {
+        "group": {"family": "tl2p", "p": 5},
+        "constants": [{"rows": [[1, 1], [0, 1]]}, {"rows": [[1, 4], [0, 1]]}]}),
+    "heisenberg-closed-form": (["solve"], {
+        "group": {"family": "heisenberg", "n": 3, "p": 5},
+        "constants": [{"alpha1": [1], "a2": 0, "alpha3": [0]},
+                      {"alpha1": [4], "a2": 0, "alpha3": [0]}]}),
+    "ut4-closed-form": (["solve"], {
+        "group": {"family": "ut4p", "p": 5},
+        "constants": [{"entries": [1, 0, 0, 0, 0, 0]},
+                      {"entries": [4, 0, 0, 0, 0, 0]}]}),
+    "semidirect-signvector": (["solve"], {
+        "group": {"family": "semidirect", "m": 5, "k": 2},
+        "constants": [{"vec": [1, 0], "sign": 1}, {"vec": [4, 0], "sign": 1}]}),
+    "cayley-dp": (["solve"], {
+        "group": {"family": "cayley", "table": [[0, 1], [1, 0]]},
+        "constants": [{"idx": 1}, {"idx": 1}]}),
+    "brute": (["oracle"], {
+        "group": {"family": "symmetric", "n": 3},
+        "constants": [{"images": [2, 3, 1]}, {"images": [3, 1, 2]}]}),
+}
+
+
+@pytest.mark.parametrize("method", sorted(WITNESS_ROUTES))
+def test_solve_witness_gate_is_not_an_assert(method, monkeypatch, capsys):
+    argv, payload = WITNESS_ROUTES[method]
+    code, out = run(argv, payload, monkeypatch, capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["method"] == method and rep["verified"]
     monkeypatch.setattr(cli.core, "verify", lambda eq, sol: False)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     with pytest.raises(RuntimeError, match="witness fails verification"):
-        cli.main(["solve"])
+        cli.main(argv)
+
+
+def _python(args, payload, flags=(), **environ):
+    """Run python with the package on its path, payload on stdin."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *flags, *args],
+                          input=json.dumps(payload).encode(),
+                          capture_output=True, env=env, timeout=120,
+                          check=False)
+
+
+def test_solve_witness_gate_survives_python_O():
+    argv, payload = WITNESS_ROUTES["semidirect-signvector"]
+    proc = _python(["-c", "import sys; from spherical import cli, core; "
+                    "core.verify = lambda eq, sol: False; "
+                    "sys.exit(cli.main(['solve']))"], payload, flags=["-O"])
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"RuntimeError: witness fails verification" in proc.stderr
 
 
 @pytest.mark.parametrize("group, field", [
@@ -476,18 +531,89 @@ def test_elements_outside_the_group_are_input_errors(
 def test_oracle_solve_ignores_the_hash_seed(payload):
     # the class tables' generating sets are drawn from a Random seeded with
     # |G|, so the witness must not change with PYTHONHASHSEED
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     outs = []
     for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spherical.cli", "solve", "--force-oracle"],
-            input=json.dumps(payload).encode(), capture_output=True, env=env,
-            timeout=120, check=False)
+        proc = _python(["-m", "spherical.cli", "solve", "--force-oracle"],
+                       payload, PYTHONHASHSEED=hash_seed)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert json.loads(outs[0])["verified"] is True
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("p", [0, 6, -7])
+def test_classify_needs_a_prime(p, monkeypatch, capsys):
+    # p = 0 divided by zero, Z/6 is not a field, and p = -7 printed det -6
+    payload = {"p": p, "rows": [[1, 2], [3, 4]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["classify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "input error: gl2p needs a prime p\n"
+
+
+def test_classify_rejects_a_singular_matrix(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        json.dumps({"p": 5, "rows": [[1, 1], [1, 1]]})))
+    assert cli.main(["classify"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: [[1,1],[1,1]] is not an element of the gl2p group\n")
+
+
+def test_unreadable_payloads_are_input_errors(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["decide", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: [Errno 2]")
+    assert err.count("\n") == 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["decide", str(deep)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: maximum recursion")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["decide"], {"group": {"family": "heisenberg", "n": 10**12, "p": 5},
+                  "constants": []}, "heisenberg field 'n' is above 10002"),
+    (["decide"], {"group": {"family": "semidirect", "m": 3, "k": 10**12},
+                  "constants": []}, "semidirect field 'k' is above 10000"),
+    (["decide"], {"group": {"family": "symmetric", "n": 10**6},
+                  "constants": []}, "symmetric field 'n' is above 10000"),
+    (["decide"], {"group": {"family": "alternating", "n": 10**6},
+                  "constants": []}, "alternating field 'n' is above 10000"),
+    # 399165290221 * 798330580441, which is_prime's bases do not cover
+    (["solve"], gl2_eq(318665857834031151167461, [[[1, 1], [0, 1]]]),
+     "gl2p field 'p' is not below 2^64"),
+    (["reduce", "--from", "xcover"], {"k": 10**9, "subsets": [[1]], "m": 3},
+     "xcover field 'k' plus the number of subsets is above 10000"),
+    (["reduce", "--from", "3part"], {"a": [10**6, 10**6, 10**6]},
+     "symmetric field 'n' is above 10000"),
+], ids=["heisenberg-n", "semidirect-k", "symmetric-n", "alternating-n",
+        "gl2p-p", "xcover-k", "3part-n"])
+def test_parameters_above_the_cap_are_capacity_errors(argv, payload, message,
+                                                      monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"capacity error: {message}\n"
+
+
+@pytest.mark.parametrize("reduction, payload, message", [
+    ("partition", {"a": [True, 2]},
+     "Partition field 'a' must be a list of integers, not [True, 2]"),
+    ("xcover", {"k": 2, "subsets": [[1, 2]], "m": 3.0},
+     "xcover field 'm' must be an integer, not 3.0"),
+    ("xcover", {"k": 2, "subsets": [[1, 2.0]], "m": 3},
+     "each subset must be a list of integers, not [1, 2.0]"),
+    ("3part", {"a": [2, 2, 2.0]},
+     "3-Partition field 'a' must be a list of integers, not [2, 2, 2.0]"),
+    ("3part", [2, 2, 2],
+     "expected a JSON object with field 'a', not a list"),
+])
+def test_reduction_instances_must_be_integers(reduction, payload, message,
+                                              monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["reduce", "--from", reduction]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {message}\n"

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from spherical import cli, core, families
 from spherical.core import (GroupSpec, SphericalEquation, Solution,
-                            BadTableError, TooLargeError, CayleyTable,
+                            InputError, TooLargeError, CayleyTable,
                             conjugacy_classes, decide_cayley, solve_brute,
-                            normalize, reorder_equiv, verify,
+                            normalize, verify,
                             saturation_length, direct_product,
                             signed_sum_signs)
 
@@ -20,12 +20,12 @@ def spec_zn(n):
 
 
 def test_cayley_table_validation():
-    with pytest.raises(BadTableError):
+    with pytest.raises(InputError, match="column is not a permutation"):
         CayleyTable([[0, 1], [0, 1]])  # not a Latin square
-    with pytest.raises(BadTableError):
+    with pytest.raises(InputError, match="no identity element"):
         CayleyTable([[0, 1, 2], [2, 0, 1], [1, 2, 0]])  # no identity
     # a Latin square with identity that is not associative
-    with pytest.raises(BadTableError):
+    with pytest.raises(InputError, match="associativity fails"):
         CayleyTable([
             [0, 1, 2, 3, 4],
             [1, 0, 3, 4, 2],
@@ -36,9 +36,9 @@ def test_cayley_table_validation():
     tab = CayleyTable(q8_mul_table())
     assert tab.ident == 0 and tab.n == 8
     # True == 1 and 1.0 == 1, so these equal a valid Z2 table entry by entry
-    with pytest.raises(BadTableError, match="integers"):
+    with pytest.raises(InputError, match="integers"):
         CayleyTable([[False, True], [True, False]])
-    with pytest.raises(BadTableError, match="integers"):
+    with pytest.raises(InputError, match="integers"):
         CayleyTable([[0, 1.0], [1, 0]])
 
 
@@ -169,26 +169,8 @@ def test_verify_negative(q8_spec):
     c = els[2]
     eq = SphericalEquation(q8_spec, [c])
     assert not verify(eq, Solution([q8_spec.identity()]))
-    with pytest.raises(core.LengthMismatchError):
+    with pytest.raises(InputError, match="0 conjugators for 1 constants"):
         verify(eq, Solution([]))
-
-
-def test_reorder_equiv():
-    spec = GroupSpec("symmetric", n=4)
-    r = random.Random(1)
-    els = spec.elements()
-    for _ in range(200):
-        k = r.randrange(1, 5)
-        cs = [els[r.randrange(len(els))] for _ in range(k)]
-        eq = SphericalEquation(spec, cs)
-        perm = list(range(k))
-        r.shuffle(perm)
-        eq2, map_back = reorder_equiv(eq, perm)
-        assert decide_cayley(eq) == decide_cayley(eq2)
-        sol2 = solve_brute(eq2)
-        if sol2 is not None:
-            sol = map_back(sol2)
-            assert verify(eq, sol)
 
 
 def test_normalize_preserves_verdict(q8_spec):
@@ -246,7 +228,7 @@ def test_associativity_check_is_exact_above_64():
     a, b = mul[1][1], mul[1][34]
     mul[1][1] = mul[34][34] = b
     mul[1][34] = mul[34][1] = a
-    with pytest.raises(BadTableError):
+    with pytest.raises(InputError, match="associativity fails"):
         CayleyTable(mul)
     assert CayleyTable(cyclic_table(66)).n == 66
 
@@ -333,7 +315,7 @@ def test_class_table_covers_the_group_whatever_the_draw(name, monkeypatch):
 def test_associativity_check_holds_whatever_the_draw(stuck, monkeypatch):
     if stuck:
         monkeypatch.setattr(core.random, "Random", _StuckRandom)
-    with pytest.raises(BadTableError, match="associativity"):
+    with pytest.raises(InputError, match="associativity"):
         CayleyTable([
             [0, 1, 2, 3, 4],
             [1, 0, 3, 4, 2],

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from spherical.core import (GroupSpec, SphericalEquation, decide_cayley,
-                            solve_brute, verify)
+from spherical.core import (GroupSpec, InputError, SphericalEquation,
+                            decide_cayley, solve_brute, verify)
 from spherical.highdim import (HeisenbergElement, UT4Element,
-                               DimensionMismatchError, decide_heisenberg,
+                               decide_heisenberg,
                                solve_heisenberg, decide_ut4, solve_ut4,
                                linsolve_modp, solve_bilinear)
 
@@ -30,7 +30,7 @@ def test_heisenberg_laws():
             a, b, c = (rand_heis(r, n, p) for _ in range(3))
             assert (a * b) * c == a * (b * c)
             assert a * a.inverse() == ident
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InputError, match="vector parts must have length"):
         HeisenbergElement((1,), 0, (1, 2), 4, 5)
 
 

@@ -3,15 +3,13 @@ import random
 
 import pytest
 
-from spherical import mat2
 from spherical.core import (GroupSpec, SphericalEquation, decide_cayley,
                             solve_brute, verify)
 from spherical.mat2 import (Mat2, SCALAR, TYPE1, TYPE2, TYPE3, classify,
                             discriminant, conjugate_check, conjugator,
                             canonicalize, trace_reachable, trace_target,
                             type3_type3_solve, decide_tl2, solve_tl2,
-                            decide_gl2, solve_gl2, ScalarInputError,
-                            NotTriangularError)
+                            decide_gl2, solve_gl2)
 from spherical.numtheory import Rng, legendre
 
 
@@ -32,7 +30,7 @@ def test_classify_examples():
     assert classify(Mat2(5, 1, 1, 0, 1)) == TYPE3
     assert classify(Mat2(5, 0, 2, 1, 0)) == TYPE2
     assert classify(Mat2(5, 2, 0, 0, 3)) == TYPE1
-    with pytest.raises(mat2.SingularMatrixError):
+    with pytest.raises(ValueError, match="singular matrix"):
         classify(Mat2(5, 1, 1, 1, 1))
 
 
@@ -63,7 +61,7 @@ def test_conjugator_verifies():
             b = z * a * z.inverse()
             w = conjugator(a, b, g)
             assert w.inverse() * b * w == a
-    with pytest.raises(mat2.NotConjugateError):
+    with pytest.raises(ValueError, match="are not conjugate"):
         conjugator(Mat2(5, 1, 1, 0, 1), Mat2(5, 1, 0, 0, 1), g)
 
 
@@ -121,7 +119,7 @@ def test_trace_target_type3_excluded_point():
 
 
 def test_trace_target_scalar_rejected():
-    with pytest.raises(ScalarInputError):
+    with pytest.raises(ValueError, match="trace target needs non-scalar"):
         trace_target(Mat2(5, 2, 0, 0, 2), Mat2(5, 1, 1, 0, 1), 0, rng())
 
 
@@ -144,7 +142,7 @@ def test_decide_tl2_examples():
                                                Mat2(5, 3, 0, 0, 3)]))
     assert decide_tl2(SphericalEquation(spec, [Mat2(5, 2, 1, 0, 3),
                                                Mat2(5, 3, 0, 0, 2)]))
-    with pytest.raises(NotTriangularError):
+    with pytest.raises(ValueError, match="is not upper triangular"):
         decide_tl2(SphericalEquation(GroupSpec("gl2p", p=5),
                                      [Mat2(5, 0, 1, 1, 0)]))
 

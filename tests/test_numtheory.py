@@ -34,7 +34,7 @@ def test_sqrt_mod_examples():
     assert nt.sqrt_mod(2, 7, rng) in (3, 4)
     assert nt.sqrt_mod(0, 13, rng) == 0
     assert nt.sqrt_mod(4, 101, rng) in (2, 99)
-    with pytest.raises(nt.NonResidueError):
+    with pytest.raises(ValueError, match="is not a square mod"):
         nt.sqrt_mod(3, 7, rng)
 
 
@@ -53,9 +53,9 @@ def test_solve_bivariate_examples():
     for k, m, p in ((3, 1, 7), (3, 2, 7), (5, 3, 13)):
         x, y = nt.solve_bivariate(k, m, p, rng)
         assert (x * x - k * y * y) % p == m % p
-    with pytest.raises(nt.InvalidModulusError):
+    with pytest.raises(ValueError, match="k and m must be nonzero"):
         nt.solve_bivariate(0, 1, 7, rng)
-    with pytest.raises(nt.InvalidModulusError):
+    with pytest.raises(ValueError, match="p must be odd"):
         nt.solve_bivariate(1, 1, 2, rng)
 
 
@@ -66,7 +66,7 @@ def test_solve_weighted_trace_examples():
         u, x = nt.solve_weighted_trace(k, t, b, p, rng)
         inv = pow(u, -1, p)
         assert (u * b + inv * t - inv * x * x) % p == k % p
-    with pytest.raises(nt.PreconditionError):
+    with pytest.raises(ValueError, match="must be quadratic nonresidues"):
         nt.solve_weighted_trace(1, 4, 3, 7, rng)  # 4 is a residue
 
 
@@ -84,7 +84,7 @@ def test_randomized_solvers_random_inputs():
             # scale the fixed nonresidue by random squares for variety
             t = nonres * pow(rng.nonzero(p), 2, p) % p
             b = nonres * pow(rng.nonzero(p), 2, p) % p
-            kk = rng.below(p)
+            kk = rng.residue(p)
             u, xx = nt.solve_weighted_trace(kk, t, b, p, rng)
             inv = pow(u, -1, p)
             assert u and (u * b + inv * t - inv * xx * xx) % p == kk
@@ -97,21 +97,8 @@ def test_rng_determinism():
         seq_a = [nt.sqrt_mod(x * x % 1009, 1009, a) for x in range(1, 50)]
         seq_b = [nt.sqrt_mod(x * x % 1009, 1009, b) for x in range(1, 50)]
         assert seq_a == seq_b
-        assert [a.below(99) for _ in range(20)] == [b.below(99) for _ in range(20)]
-
-
-def test_quad_ext_arithmetic():
-    rng = nt.Rng(3)
-    for p in (5, 7, 101):
-        xi = nt.smallest_nonresidue(p)
-        for _ in range(100):
-            u = nt.QuadExt(rng.below(p), rng.below(p), xi, p)
-            v = nt.QuadExt(rng.below(p), rng.below(p), xi, p)
-            assert (u * v).conj() == u.conj() * v.conj()
-            assert u.norm() == (u * u.conj()).a
-            if (u.a, u.b) != (0, 0):
-                w = u * u.inverse()
-                assert (w.a, w.b) == (1, 0)
+        assert ([a.residue(99) for _ in range(20)]
+                == [b.residue(99) for _ in range(20)])
 
 
 @given(st.integers(min_value=0, max_value=100), st.sampled_from([3, 5, 7, 101]))

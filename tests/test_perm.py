@@ -9,9 +9,8 @@ from spherical.core import GroupSpec, SphericalEquation, decide_cayley, \
 from spherical.perm import (Permutation, cycle_decompose, mov, sign,
                             cycle_type, conjugate_check, conjugator,
                             reduce_3partition, reduce_3partition_an,
-                            certificate_to_solution, DegreeMismatchError,
-                            NotConjugateError, MalformedInstanceError,
-                            InvalidCertificateError)
+                            certificate_to_solution)
+from spherical.core import InputError
 
 
 def rand_perm(r, n):
@@ -54,7 +53,7 @@ def test_conjugate_check_examples():
     s = Permutation.from_cycle((1, 2), 4) * Permutation.from_cycle((3, 4), 4)
     t = Permutation.from_cycle((1, 3), 4) * Permutation.from_cycle((2, 4), 4)
     assert conjugate_check(s, t)
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(ValueError, match="degrees differ"):
         conjugate_check(Permutation((1, 2)), Permutation((1, 2, 3)))
 
 
@@ -68,7 +67,7 @@ def test_conjugator_examples():
     b = Permutation.from_cycle((2, 3, 4), 4)
     x = conjugator(a, b)
     assert x.inverse() * a * x == b
-    with pytest.raises(NotConjugateError):
+    with pytest.raises(ValueError, match="are not conjugate"):
         conjugator(Permutation((2, 3, 1)), Permutation((2, 1, 3)))
 
 
@@ -113,11 +112,11 @@ def test_reduce_3partition_example():
 
 
 def test_reduce_3partition_validation():
-    with pytest.raises(MalformedInstanceError):
+    with pytest.raises(InputError, match="need 3k positive integers"):
         reduce_3partition([1, 2])  # not 3k values
-    with pytest.raises(MalformedInstanceError):
+    with pytest.raises(InputError, match="outside"):
         reduce_3partition([1, 2, 3])  # 1 <= L/4 violated
-    with pytest.raises(MalformedInstanceError):
+    with pytest.raises(InputError, match="sum must be divisible by k"):
         reduce_3partition([2, 2, 2, 2, 2, 2, 2, 2, 1])  # sum not divisible
 
 
@@ -133,7 +132,8 @@ def test_certificate_roundtrip_sn():
     eq = reduce_3partition([2, 2, 2])
     sol = certificate_to_solution([2, 2, 2], [(0, 1, 2)])
     assert verify(eq, sol)
-    with pytest.raises(InvalidCertificateError):
+    with pytest.raises(ValueError,
+                       match="certificate must partition the indices"):
         certificate_to_solution([2, 2, 2], [(0, 0, 1)])
 
 
@@ -167,7 +167,7 @@ def test_oracle_agreement_small():
 
 def test_unbalanced_triple_rejected():
     a = [4, 4, 3, 3, 3, 3]  # L = 10; triples must be {4,3,3}
-    with pytest.raises(InvalidCertificateError):
+    with pytest.raises(ValueError, match="does not sum to L"):
         certificate_to_solution(a, [(0, 1, 2), (3, 4, 5)])
     eq = reduce_3partition(a)
     sol = certificate_to_solution(a, [(0, 2, 3), (1, 4, 5)])
