@@ -219,11 +219,15 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     text = json.dumps(report, sort_keys=True) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 

@@ -209,7 +209,7 @@ class GroupSpec:
     def elements(self):
         # the order itself is not printed: str() refuses ints of more than
         # 4300 digits, and |S_n| has them from n = 1559
-        if self.order() > CAP:
+        if self._family.over_cap(self) or self.order() > CAP:
             raise TooLargeError(
                 f"the {self.family} group has more than {CAP} elements")
         return list(self._family.elements(self))

@@ -7,8 +7,10 @@ rotations and some signed sum of the a_i vanishes mod n, or there are at
 least two reflections and (n odd, or an even number of odd a_i).
 """
 
-from .core import (GroupSpec, InputError, SphericalEquation, int_list,
-                   normalize, reinflate, signed_sum_signs)
+from .core import (CAP, GroupSpec, InputError, SphericalEquation,
+                   TooLargeError, int_list, normalize, reinflate,
+                   signed_sum_signs)
+from .semidirect import SIGN_CAP
 
 
 class DihedralElement:
@@ -95,9 +97,15 @@ def _signed_sum_dp(values, n):
     layer.  That costs count * n / 64 machine words, while meet in the
     middle costs about 2^(count/2) dict steps, so the bitset runs when
     2^(count/2) * 64 >= n and the meet in the middle otherwise (few values
-    modulo a large n).
+    modulo a large n).  The bitset's count * n bits must stay within CAP^2,
+    the meet in the middle's count within SIGN_CAP, or TooLargeError.
     """
-    if 4096 << len(values) < n * n:
+    count = len(values)
+    if 4096 << count < n * n or count * n > CAP * CAP:
+        if count > SIGN_CAP:
+            # no n in the message: str() refuses ints past 4300 digits
+            raise TooLargeError(f"{count} rotation constants are too many "
+                                f"for a signed-sum search modulo this n")
         return signed_sum_signs([(v,) for v in values], (0,), n)
     full = (1 << n) - 1
     layers = [1]

@@ -30,7 +30,8 @@ Family = collections.namedtuple("Family", (
     "encode",    # encode(el) -> JSON object
     "contains",  # contains(spec, el) -> whether a decoded el lies in G
     "route",     # route(eq, rng) -> (method name, decide, solve)
-))
+    "over_cap",  # over_cap(spec) -> |G| > CAP, shown without building |G|
+), defaults=(lambda s: False,))
 
 
 def _field(obj, key):
@@ -178,7 +179,7 @@ _SYMMETRIC = Family(
     check=_need_n(1, CAP),
     order=lambda s: math.factorial(s.n),
     identity=lambda s: Permutation.identity(s.n),
-    elements=lambda s: map(Permutation,
+    elements=lambda s: map(Permutation._of,
                            itertools.permutations(range(1, s.n + 1))),
     decode=_decode_perm,
     encode=lambda x: {"n": x.n, "images": list(x.images)},
@@ -283,11 +284,13 @@ FAMILIES = {
         check=_check_semidirect,
         order=lambda s: 2 * s.m**s.k,
         identity=lambda s: SemidirectElement((0,) * s.k, 1, s.m),
-        elements=lambda s: (SemidirectElement(v, sign, s.m)
+        elements=lambda s: (SemidirectElement._of(v, sign, s.m)
                             for sign in (1, -1) for v in
                             itertools.product(range(s.m), repeat=s.k)),
         decode=_decode_semidirect,
         encode=lambda x: {"vec": list(x.vec), "sign": x.sign},
         contains=lambda s, x: x.m == s.m and len(x.vec) == s.k,
-        route=_semidirect_route),
+        route=_semidirect_route,
+        # m^k >= 2^(k (bits(m) - 1)), and 2 m^k can have millions of digits
+        over_cap=lambda s: s.k * (s.m.bit_length() - 1) >= CAP.bit_length()),
 }

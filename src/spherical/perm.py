@@ -6,6 +6,8 @@ Points are 1-based.  Composition applies the right factor first:
 through x^-1.
 """
 
+from operator import itemgetter
+
 from .core import GroupSpec, InputError, SphericalEquation, Solution, int_list
 
 # the name reduction callers have long caught
@@ -22,15 +24,25 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _of(cls, images):
+        """images, a tuple known to be a bijection; never a payload's."""
+        x = object.__new__(cls)
+        x.images = images
+        return x
+
+    @classmethod
     def identity(cls, n):
-        return cls(range(1, n + 1))
+        return cls._of(tuple(range(1, n + 1)))
 
     @classmethod
     def from_cycle(cls, points, n):
+        if len(set(points)) < len(points) or any(
+                p < 1 or p > n for p in points):
+            raise ValueError(f"{points} is not a cycle on 1..{n}")
         images = list(range(1, n + 1))
         for a, b in zip(points, points[1:] + points[:1]):
             images[a - 1] = b
-        return cls(images)
+        return cls._of(tuple(images))
 
     @property
     def n(self):
@@ -40,15 +52,18 @@ class Permutation:
         return self.images[i - 1]
 
     def __mul__(self, other):
-        if self.n != other.n:
+        if len(self.images) != len(other.images):
             raise ValueError("degrees differ")
-        return Permutation(self.images[j - 1] for j in other.images)
+        # itemgetter(j) gives an item, not a 1-tuple; S_0, S_1 are trivial
+        if len(self.images) < 2:
+            return self
+        return Permutation._of(itemgetter(*other.images)((0,) + self.images))
 
     def inverse(self):
-        inv = [0] * self.n
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return Permutation(inv)
+        inv = [0] * (len(self.images) + 1)
+        for i, j in enumerate(self.images, 1):
+            inv[j] = i
+        return Permutation._of(tuple(inv[1:]))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -66,17 +81,17 @@ class Permutation:
 def cycle_decompose(s: Permutation):
     """Disjoint cycles of length >= 2, each starting at its minimum, sorted
     by minimum."""
-    seen = [False] * s.n
+    images = s.images
+    seen = bytearray(len(images) + 1)
     cycles = []
-    for start in range(1, s.n + 1):
-        if seen[start - 1] or s(start) == start:
+    for start, i in enumerate(images, 1):
+        if i == start or seen[start]:
             continue
-        cyc = []
-        i = start
-        while not seen[i - 1]:
-            seen[i - 1] = True
+        cyc = [start]
+        while i != start:
+            seen[i] = 1
             cyc.append(i)
-            i = s(i)
+            i = images[i - 1]
         cycles.append(tuple(cyc))
     return cycles
 
@@ -103,7 +118,7 @@ def sign(s: Permutation) -> int:
 
 
 def cycle_type(s: Permutation):
-    return tuple(sorted(len(c) for c in cycle_decompose(s)))
+    return tuple(sorted(map(len, cycle_decompose(s))))
 
 
 def conjugate_check(s: Permutation, t: Permutation) -> bool:
@@ -114,19 +129,21 @@ def conjugate_check(s: Permutation, t: Permutation) -> bool:
 
 def conjugator(s: Permutation, t: Permutation) -> Permutation:
     """x with x^-1 s x = t, by aligning canonical cycle decompositions."""
-    if not conjugate_check(s, t):
-        raise ValueError(f"{s!r} and {t!r} are not conjugate")
+    if s.n != t.n:
+        raise ValueError("degrees differ")
     cs = sorted(cycle_decompose(s), key=len)
     ct = sorted(cycle_decompose(t), key=len)
-    images = [0] * s.n
+    if list(map(len, cs)) != list(map(len, ct)):
+        raise ValueError(f"{s!r} and {t!r} are not conjugate")
+    images = [0] * (s.n + 1)
     for a, b in zip(ct, cs):
         for pa, pb in zip(a, b):
-            images[pa - 1] = pb
-    fixed_t = sorted(set(range(1, s.n + 1)) - {p for c in ct for p in c})
-    fixed_s = sorted(set(range(1, s.n + 1)) - {p for c in cs for p in c})
-    for pa, pb in zip(fixed_t, fixed_s):
-        images[pa - 1] = pb
-    return Permutation(images)
+            images[pa] = pb
+    # the fixed points of t go onto those of s, in increasing order
+    for pa, pb in zip([i for i, j in enumerate(t.images, 1) if i == j],
+                      [i for i, j in enumerate(s.images, 1) if i == j]):
+        images[pa] = pb
+    return Permutation._of(tuple(images[1:]))
 
 
 def _check_3partition(a, alternating=False):

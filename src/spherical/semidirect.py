@@ -10,7 +10,7 @@ by meet in the middle.
 """
 
 from .core import (CAP, GroupSpec, InputError, SphericalEquation, Solution,
-                   TooLargeError, checked, int_list, signed_sum_signs, verify)
+                   TooLargeError, checked, int_list, signed_sum_signs)
 
 SIGN_CAP = 32
 
@@ -25,16 +25,25 @@ class SemidirectElement:
         self.sign = sign
         self.m = m
 
+    @classmethod
+    def _of(cls, vec, sign, m):
+        """(vec, sign), vec a tuple reduced mod m; never a payload's."""
+        x = object.__new__(cls)
+        x.vec, x.sign, x.m = vec, sign, m
+        return x
+
     def __mul__(self, other):
-        if self.m != other.m or len(self.vec) != len(other.vec):
+        m, sign = self.m, self.sign
+        if m != other.m or len(self.vec) != len(other.vec):
             raise ValueError("mixed groups")
-        return SemidirectElement(
-            tuple(a + self.sign * b for a, b in zip(self.vec, other.vec)),
-            self.sign * other.sign, self.m)
+        return SemidirectElement._of(
+            tuple([(a + sign * b) % m for a, b in zip(self.vec, other.vec)]),
+            sign * other.sign, m)
 
     def inverse(self):
-        return SemidirectElement(tuple(-self.sign * a for a in self.vec),
-                                 self.sign, self.m)
+        m, sign = self.m, self.sign
+        return SemidirectElement._of(tuple([-sign * a % m for a in self.vec]),
+                                     sign, m)
 
     def __eq__(self, other):
         return (isinstance(other, SemidirectElement)
@@ -90,15 +99,16 @@ def reduce_xcover(k, subsets, m) -> SphericalEquation:
     ell = len(subsets)
     dim = k + ell
     spec = GroupSpec("semidirect", m=m, k=dim)
+    # m >= 3, so the entries 0, 1 and 2 are reduced already
     constants = []
     for s in subsets:
-        constants.append(SemidirectElement(
-            tuple(1 if j in s else 0 for j in range(1, dim + 1)), 1, m))
+        constants.append(SemidirectElement._of(
+            tuple([1 if j in s else 0 for j in range(1, dim + 1)]), 1, m))
     for i, s in enumerate(subsets, start=1):
         vec = [1 if j in s else 0 for j in range(1, k + 1)] + [0] * ell
         vec[k + i - 1] = 1
-        constants.append(SemidirectElement(vec, 1, m))
-    rhs = SemidirectElement((2,) * k + (1,) * ell, 1, m)
+        constants.append(SemidirectElement._of(tuple(vec), 1, m))
+    rhs = SemidirectElement._of((2,) * k + (1,) * ell, 1, m)
     return SphericalEquation(spec, constants, rhs)
 
 
@@ -168,9 +178,7 @@ def certificate_to_solution(k, subsets, m, cert) -> Solution:
     beta = SemidirectElement((0,) * dim, -1, m)
     zs = [ident if i in chosen else beta for i in range(1, ell + 1)]
     zs += [ident] * ell
-    sol = Solution(zs)
-    assert verify(reduce_xcover(k, subsets, m), sol)
-    return sol
+    return checked(reduce_xcover(k, subsets, m), Solution(zs))
 
 
 def embed_dihedral_power(el: SemidirectElement):

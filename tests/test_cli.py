@@ -97,6 +97,16 @@ def test_out_flag(tmp_path, monkeypatch, capsys):
     assert json.loads(dest.read_text())["solvable"]
 
 
+def test_out_flag_unwritable(tmp_path, monkeypatch, capsys):
+    payload = {"group": {"family": "dihedral", "n": 5},
+               "constants": [{"k": 1, "delta": 1}]}
+    dest = tmp_path / "missing" / "report.json"
+    code, _ = run(["decide", "--out", str(dest)], payload, monkeypatch)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("input error: [Errno 2]") and err.count("\n") == 1
+
+
 def test_force_oracle(monkeypatch, capsys):
     payload = {"group": {"family": "dihedral", "n": 4},
                "constants": [{"k": 1, "delta": 1}, {"k": 3, "delta": 1}]}
@@ -347,7 +357,7 @@ def test_solve_witness_gate_is_not_an_assert(method, monkeypatch, capsys):
         cli.main(argv)
 
 
-def _python(args, payload, flags=(), **environ):
+def _python(args, payload, flags=(), timeout=120, **environ):
     """Run python with the package on its path, payload on stdin."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -356,7 +366,7 @@ def _python(args, payload, flags=(), **environ):
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *flags, *args],
                           input=json.dumps(payload).encode(),
-                          capture_output=True, env=env, timeout=120,
+                          capture_output=True, env=env, timeout=timeout,
                           check=False)
 
 
@@ -367,6 +377,18 @@ def test_solve_witness_gate_survives_python_O():
                     "sys.exit(cli.main(['solve']))"], payload, flags=["-O"])
     assert proc.returncode == 1 and proc.stdout == b""
     assert b"RuntimeError: witness fails verification" in proc.stderr
+
+
+def test_oracle_refuses_a_huge_semidirect_group_quickly():
+    # |G| = 2 * (10^4000)^2000 has 8 million digits; building it took
+    # seconds before the refusal, and the bit lengths alone show it is
+    # above CAP
+    payload = {"group": {"family": "semidirect", "m": 10**4000, "k": 2000},
+               "constants": [{"vec": [1] * 2000, "sign": -1}]}
+    proc = _python(["-m", "spherical.cli", "decide"], payload, timeout=5)
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert proc.stderr == (b"capacity error: the semidirect group has more "
+                           b"than 10000 elements\n")
 
 
 @pytest.mark.parametrize("group, field", [
@@ -520,6 +542,28 @@ def test_elements_outside_the_group_are_input_errors(
     assert err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("family, images, message", [
+    ("symmetric", [1, 1, 3], "images must be a bijection on 1..n"),
+    ("symmetric", [0, 1, 2], "images must be a bijection on 1..n"),
+    ("alternating", [2, 1, 3],
+     "(1 2) is not an element of the alternating group"),
+], ids=["repeated", "zero", "odd-in-alternating"])
+def test_bad_permutations_are_input_errors(family, images, message,
+                                           monkeypatch, capsys):
+    group = {"family": family, "n": 3}
+    bad, good = {"images": images}, {"images": [2, 3, 1]}
+    for verb, payload in (
+            ("decide", {"group": group, "constants": [bad]}),
+            ("verify", {"group": group, "constants": [bad],
+                        "conjugators": [good]}),
+            ("verify", {"group": group, "constants": [good],
+                        "conjugators": [bad]})):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        assert cli.main([verb]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("payload", [
     {"group": {"family": "gl2p", "p": 5},
      "constants": [{"rows": [[1, 1], [0, 1]]}, {"rows": [[2, 0], [0, 3]]},
@@ -589,8 +633,13 @@ def test_unreadable_payloads_are_input_errors(tmp_path, monkeypatch, capsys):
      "xcover field 'k' plus the number of subsets is above 10000"),
     (["reduce", "--from", "3part"], {"a": [10**6, 10**6, 10**6]},
      "symmetric field 'n' is above 10000"),
+    # the bitset would need 60 * 10^10 bits, and 60 values are past SIGN_CAP
+    (["decide"], {"group": {"family": "dihedral", "n": 10**10},
+                  "constants": [{"k": k, "delta": 1} for k in range(1, 61)]},
+     "60 rotation constants are too many for a signed-sum search modulo "
+     "this n"),
 ], ids=["heisenberg-n", "semidirect-k", "symmetric-n", "alternating-n",
-        "gl2p-p", "xcover-k", "3part-n"])
+        "gl2p-p", "xcover-k", "3part-n", "dihedral-rotations"])
 def test_parameters_above_the_cap_are_capacity_errors(argv, payload, message,
                                                       monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))

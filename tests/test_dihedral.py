@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from spherical.core import (GroupSpec, SphericalEquation, conjugacy_classes,
-                            decide_cayley, solve_brute, verify)
+from spherical.core import (GroupSpec, SphericalEquation, TooLargeError,
+                            conjugacy_classes, decide_cayley, solve_brute,
+                            verify)
 from spherical import dihedral
 from spherical.dihedral import (DihedralElement, Et2Element, decide_dn,
                                 solve_dn, reduce_partition, embed_et2)
@@ -136,6 +137,11 @@ def test_embed_et2():
     (512, (6, 7), True),               # 2^(6/2) * 64 = 512
     (513, (6,), False),
     (513, (7,), True),
+    # dense by that rule, but 32 * n bits are above CAP^2: meet in the middle
+    (4 * 10**6, (32,), False),
+    # above CAP^2 bits and above SIGN_CAP values: neither search runs
+    (4 * 10**6, (33,), None),
+    (10**10, (60,), None),
 ])
 def test_signed_sum_dp_both_sides_of_the_switch(n, counts, bitset,
                                                  monkeypatch):
@@ -145,16 +151,27 @@ def test_signed_sum_dp_both_sides_of_the_switch(n, counts, bitset,
                         lambda *args: calls.append(args) or real(*args))
     r = random.Random(n)
     for count in counts:
-        for trial in range(40):
+        if bitset is None:
+            with pytest.raises(TooLargeError, match="too many"):
+                dihedral._signed_sum_dp(
+                    [r.randrange(n) for _ in range(count)], n)
+            assert not calls
+            continue
+        # past 12 values only the planted sums are checked, not by brute force
+        for trial in range(40 if count <= 12 else 4):
             vals = [r.randrange(n) for _ in range(count)]
             if trial % 2 and count:  # plant a zero sum
                 vals[-1] = sum(r.choice((1, -1)) * v for v in vals[:-1]) % n
-            want = any(sum(e * v for e, v in zip(signs, vals)) % n == 0
-                       for signs in itertools.product((1, -1), repeat=count))
             calls.clear()
             got = dihedral._signed_sum_dp(vals, n)
             assert bool(calls) != bitset, (n, count)
-            assert (got is not None) == want, (n, vals)
+            if count <= 12:
+                want = any(sum(e * v for e, v in zip(signs, vals)) % n == 0
+                           for signs in itertools.product((1, -1),
+                                                          repeat=count))
+                assert (got is not None) == want, (n, vals)
+            elif trial % 2:
+                assert got is not None, (n, vals)
             if got is not None:
                 assert len(got) == count
                 assert sum(e * v for e, v in zip(got, vals)) % n == 0

@@ -185,3 +185,94 @@ def test_perm_group_laws(n, data):
     assert s * s.inverse() == Permutation.identity(n)
     # conjugation preserves cycle type
     assert cycle_type(t.inverse() * s * t) == cycle_type(s)
+
+
+def _checked_product(s, t):
+    return Permutation([s.images[j - 1] for j in t.images])
+
+
+def _checked_inverse(s):
+    inv = [0] * s.n
+    for i, j in enumerate(s.images, start=1):
+        inv[j - 1] = i
+    return Permutation(inv)
+
+
+def _reference_cycles(s):
+    """cycle_decompose by calling s point by point."""
+    seen = set()
+    cycles = []
+    for start in range(1, s.n + 1):
+        if start in seen or s(start) == start:
+            continue
+        cyc = []
+        i = start
+        while i not in seen:
+            seen.add(i)
+            cyc.append(i)
+            i = s(i)
+        cycles.append(tuple(cyc))
+    return cycles
+
+
+def _reference_conjugator(s, t):
+    """conjugator by sorted cycles, then sorted fixed-point sets."""
+    cs = sorted(_reference_cycles(s), key=len)
+    ct = sorted(_reference_cycles(t), key=len)
+    images = [0] * s.n
+    for a, b in zip(ct, cs):
+        for pa, pb in zip(a, b):
+            images[pa - 1] = pb
+    points = set(range(1, s.n + 1))
+    fixed_t = sorted(points - {p for c in ct for p in c})
+    fixed_s = sorted(points - {p for c in cs for p in c})
+    for pa, pb in zip(fixed_t, fixed_s):
+        images[pa - 1] = pb
+    return Permutation(images)
+
+
+def _pairs():
+    """Every pair in S_1..S_5, then 200 random pairs of degree up to 1000."""
+    for n in range(1, 6):
+        perms = [Permutation(p)
+                 for p in itertools.permutations(range(1, n + 1))]
+        yield from itertools.product(perms, repeat=2)
+    r = random.Random(3)
+    for _ in range(200):
+        n = r.randrange(1, 1001)
+        yield rand_perm(r, n), rand_perm(r, n)
+
+
+def test_unchecked_products_match_the_checked_constructor():
+    for s, t in _pairs():
+        st = s * t
+        assert type(st.images) is tuple and st == _checked_product(s, t)
+        inv = s.inverse()
+        assert type(inv.images) is tuple and inv == _checked_inverse(s)
+        assert s * inv == Permutation(range(1, s.n + 1))
+        assert Permutation.identity(s.n) == Permutation(range(1, s.n + 1))
+
+
+def test_cycles_and_conjugator_match_the_reference():
+    for s, z in _pairs():
+        assert cycle_decompose(s) == _reference_cycles(s)
+        t = z.inverse() * s * z
+        x = conjugator(s, t)
+        assert x == _reference_conjugator(s, t)
+        assert x.inverse() * s * x == t
+
+
+def test_enumerated_permutations_match_the_checked_constructor():
+    for n in range(1, 6):
+        want = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+        assert GroupSpec("symmetric", n=n).elements() == want
+        assert GroupSpec("alternating", n=n).elements() == [
+            s for s in want if sign(s) == 1]
+
+
+def test_from_cycle():
+    assert Permutation.from_cycle((2, 4, 3), 5) == Permutation((1, 4, 2, 3, 5))
+    assert Permutation.from_cycle((), 3) == Permutation.identity(3)
+    for points in ((1, 1), (2, 3, 2), (0, 1), (3, 4)):
+        with pytest.raises(ValueError, match="is not a cycle on 1..3"):
+            Permutation.from_cycle(points, 3)

@@ -6,7 +6,7 @@ import pytest
 from spherical.core import (GroupSpec, InputError, SphericalEquation,
                             TooLargeError, decide_cayley, verify)
 from spherical.dihedral import DihedralElement
-from spherical import semidirect
+from spherical import core, semidirect
 from spherical.semidirect import (SemidirectElement, reduce_xcover, decide_signvector,
                                   solve_signvector, certificate_to_solution,
                                   embed_dihedral_power)
@@ -154,6 +154,30 @@ def test_certificate_errors():
     # two disjoint covering sets, both selected
     sol = certificate_to_solution(4, [{1, 2}, {3, 4}], 5, {1, 2})
     assert verify(reduce_xcover(4, [{1, 2}, {3, 4}], 5), sol)
+
+
+def test_unchecked_products_match_the_checked_constructor():
+    for m in (3, 5):
+        for k in (1, 2, 3):
+            els = GroupSpec("semidirect", m=m, k=k).elements()
+            assert els == [SemidirectElement(v, sign, m) for sign in (1, -1)
+                           for v in itertools.product(range(m), repeat=k)]
+            ident = SemidirectElement((0,) * k, 1, m)
+            for a in els:
+                inv = a.inverse()
+                assert inv == SemidirectElement(
+                    [-a.sign * x for x in a.vec], a.sign, m)
+                assert a * inv == ident
+                for b in els:
+                    assert a * b == SemidirectElement(
+                        [x + a.sign * y for x, y in zip(a.vec, b.vec)],
+                        a.sign * b.sign, m)
+
+
+def test_certificate_gate_is_not_an_assert(monkeypatch):
+    monkeypatch.setattr(core, "verify", lambda eq, sol: False)
+    with pytest.raises(RuntimeError, match="witness fails verification"):
+        certificate_to_solution(2, [{1, 2}], 3, {1})
 
 
 def test_embedding_homomorphism():
