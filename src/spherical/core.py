@@ -8,6 +8,8 @@ when conjugators z_i exist with prod_i z_i^-1 c_i z_i = 1 (or = rhs).
 import random
 
 CAP = 10**4
+# the most vectors a meet-in-the-middle signed-sum search takes
+SIGN_CAP = 32
 
 
 class InputError(ValueError):
@@ -485,12 +487,52 @@ def signed_sum_signs(vecs, target, m):
     """Signs e_i = +-1 with sum_i e_i vecs[i] = target componentwise mod m,
     as a tuple, or None when no choice of signs works.
 
-    Meet in the middle (Horowitz and Sahni): the signed sums of the first
-    half are joined on equality with target minus the signed sums of the
-    second half.  Each half is built one vector at a time and deduplicated
-    as it grows, keeping one sign choice per sum, so it holds at most
-    min(2^(count/2), m^dim) sums and costs about 2 * 2^(count/2) vector
-    additions instead of 2^count.
+    One coordinate modulo a small m runs a bitset DP, costing count * m / 64
+    machine words; anything else runs a meet in the middle, costing about
+    2^(count/2) dict steps.  So the bitset runs when 2^(count/2) * 64 >= m,
+    and while its count * m bits stay within CAP^2; the meet in the middle
+    takes at most SIGN_CAP vectors, or TooLargeError.
+    """
+    count = len(vecs)
+    if len(target) == 1 and 4096 << count >= m * m and count * m <= CAP * CAP:
+        return _bitset_signs([v for v, in vecs], target[0], m)
+    if count > SIGN_CAP:
+        # no m in the message: str() refuses ints past 4300 digits
+        raise TooLargeError(
+            f"{count} constants are too many for a signed-sum search")
+    return _meet_in_the_middle(vecs, target, m)
+
+
+def _bitset_signs(values, target, m):
+    """signed_sum_signs for one coordinate: layer j holds the residues
+    reachable with the first j values as an m-bit int, the next layer is
+    that int rotated by +v and by -v, and the trace back from the target
+    tests one bit per layer."""
+    full = (1 << m) - 1
+    values = [v % m for v in values]
+    layers = [1]
+    for v in values:
+        reach = layers[-1]
+        layers.append((reach << v | reach >> (m - v)
+                       | reach >> v | reach << (m - v)) & full)
+    r = target % m
+    if not layers[-1] >> r & 1:
+        return None
+    signs = []
+    for j in range(len(values) - 1, -1, -1):
+        e = 1 if layers[j] >> (r - values[j]) % m & 1 else -1
+        r = (r - e * values[j]) % m
+        signs.append(e)
+    return tuple(reversed(signs))
+
+
+def _meet_in_the_middle(vecs, target, m):
+    """signed_sum_signs by meet in the middle (Horowitz and Sahni): the
+    signed sums of the first half are joined on equality with target minus
+    the signed sums of the second half.  Each half is built one vector at a
+    time and deduplicated as it grows, keeping one sign choice per sum, so
+    it holds at most min(2^(count/2), m^dim) sums and costs about
+    2 * 2^(count/2) vector additions instead of 2^count.
     """
     # A vector is one int with a field of b bits per coordinate holding a
     # residue.  Adding an addend whose fields lie in 0..m keeps every field

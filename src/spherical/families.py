@@ -14,7 +14,7 @@ import math
 
 from . import core, dihedral, highdim, mat2, numtheory, perm, semidirect
 from .core import CAP, CayleyElement, InputError, TooLargeError, int_list
-from .dihedral import DihedralElement, Et2Element
+from .dihedral import Et2Element
 from .highdim import HeisenbergElement, UT4Element
 from .mat2 import Mat2
 from .perm import Permutation
@@ -146,11 +146,9 @@ def _gl2_route(eq, rng):
 
 
 def _semidirect_route(eq, rng):
-    if all(c.sign == 1 for c in eq.constants) and (
-            eq.rhs is None or eq.rhs.sign == 1):
-        return ("semidirect-signvector", semidirect.decide_signvector,
-                semidirect.solve_signvector)
-    return _oracle(eq, rng)
+    method = ("semidirect-reflection" if semidirect.has_reflection(eq)
+              else "semidirect-signvector")
+    return method, semidirect.decide_signvector, semidirect.solve_signvector
 
 
 def _sl2_elements(spec):
@@ -219,13 +217,13 @@ FAMILIES = {
     "dihedral": Family(
         check=_need_n(1),
         order=lambda s: 2 * s.n,
-        identity=lambda s: DihedralElement(0, 1, s.n),
-        elements=lambda s: (DihedralElement(k, d, s.n)
+        identity=lambda s: SemidirectElement._of((0,), 1, s.n),
+        elements=lambda s: (SemidirectElement._of((k,), d, s.n)
                             for d in (1, -1) for k in range(s.n)),
-        decode=lambda s, o: DihedralElement(_int(o, "k"), _int(o, "delta"),
-                                            s.n),
-        encode=lambda x: {"k": x.k, "delta": x.delta},
-        contains=lambda s, x: x.n == s.n,
+        decode=lambda s, o: SemidirectElement(
+            (_int(o, "k"),), _int(o, "delta"), s.n),
+        encode=lambda x: {"k": x.vec[0], "delta": x.sign},
+        contains=lambda s, x: x.m == s.n and len(x.vec) == 1,
         route=_fixed("dihedral-criterion", dihedral.decide_dn,
                      dihedral.solve_dn)),
     "gl2p": _GL2,
@@ -255,7 +253,8 @@ FAMILIES = {
                                        _int(o, "e2"), s.n),
         encode=lambda x: {"e1": x.e1, "b": x.b, "e2": x.e2},
         contains=lambda s, x: x.n == s.n,
-        route=_oracle),
+        route=_fixed("et2n-criterion", dihedral.decide_et2,
+                     dihedral.solve_et2)),
     "heisenberg": Family(
         check=_check_heisenberg,
         order=lambda s: s.p ** (2 * (s.n - 2) + 1),

@@ -2,17 +2,23 @@
 
     ((a_1, ..., a_k), x) ((b_1, ..., b_k), y) = ((a_i + x*b_i)_i, xy).
 
-Deciding spherical equations over this family is NP-complete for fixed
-m = 3 or m >= 5, shown by a reduction from exact set cover with subsets of
-size at most three.  Conjugation can only flip the sign of a vector part,
-so for sign-+1 constants deciding and solving are a search for signs, done
-by meet in the middle.
+The dihedral group D_n is the case k = 1, m = n.  Deciding spherical
+equations over this family is NP-complete for fixed m = 3 or m >= 5, shown
+by a reduction from exact set cover with subsets of size at most three.
+
+One decide/solve pair serves the whole family.  A conjugate of (a, 1) is
+(a, 1) or (-a, 1), so when no constant and no rhs has sign -1 the equation
+is a search for signs e_i with sum e_i a_i = rhs (core.signed_sum_signs).
+The class of (v, -1) is (+-v + 2 Z_m^k, -1), so with at least one
+reflection (rhs folded in) the equation is solvable iff the number of
+reflections is even and either m is odd or the sum of all vectors is 0 mod
+2 in every coordinate.  ET(2,n) = <-I> x D_n reaches the kernel through its
+D_n factor (dihedral.decide_et2).
 """
 
 from .core import (CAP, GroupSpec, InputError, SphericalEquation, Solution,
-                   TooLargeError, checked, int_list, signed_sum_signs)
-
-SIGN_CAP = 32
+                   TooLargeError, checked, int_list, normalize, reinflate,
+                   signed_sum_signs)
 
 
 class SemidirectElement:
@@ -20,8 +26,8 @@ class SemidirectElement:
 
     def __init__(self, vec, sign, m):
         if sign not in (1, -1):
-            raise InputError("sign must be +-1")
-        self.vec = tuple(v % m for v in vec)
+            raise InputError("sign or delta must be +-1")
+        self.vec = tuple([v % m for v in vec])
         self.sign = sign
         self.m = m
 
@@ -112,45 +118,81 @@ def reduce_xcover(k, subsets, m) -> SphericalEquation:
     return SphericalEquation(spec, constants, rhs)
 
 
-def _signs(eq: SphericalEquation):
-    """Signs e_i with sum e_i a_i = target componentwise mod m, for
-    equations whose constants all have sign +1, or None.
+def has_reflection(eq: SphericalEquation) -> bool:
+    """Whether a constant or the rhs has sign -1."""
+    return (any(c.sign == -1 for c in eq.constants)
+            or eq.rhs is not None and eq.rhs.sign == -1)
 
-    A conjugate of (a, 1) is (a, 1) or (-a, 1) and nothing else, and
-    conjugates with sign +1 commute, so the equation holds iff such signs
-    exist.
-    """
-    if eq.group.family != "semidirect":
-        raise ValueError("expected a semidirect equation")
-    if any(c.sign != 1 for c in eq.constants):
-        raise ValueError("constants must all have sign +1")
-    if eq.rhs is not None and eq.rhs.sign != 1:
+
+def _signs(eq: SphericalEquation):
+    """Signs e_i, one per non-identity constant (a_i != 0), with
+    sum e_i a_i = rhs componentwise mod m, for equations without a
+    reflection, or None.  Conjugates with sign +1 commute, so the equation
+    holds iff such signs exist."""
+    ident = eq.group.identity()
+    target = eq.rhs.vec if eq.rhs is not None else ident.vec
+    return signed_sum_signs([c.vec for c in eq.constants if any(c.vec)],
+                            target, ident.m)
+
+
+def _half_sum(eq: SphericalEquation):
+    """The normalized constants and a vector h with 2h = sum of their
+    vectors, for equations with a reflection; None when unsolvable."""
+    cs = normalize(eq).constants
+    m = eq.group.identity().m
+    if sum(c.sign == -1 for c in cs) % 2:
         return None
-    target = eq.rhs.vec if eq.rhs is not None else (0,) * eq.group.k
-    count = len(eq.constants)
-    if count > SIGN_CAP:
-        raise TooLargeError(f"{count} constants exceeds the 2^{SIGN_CAP} cap")
-    return signed_sum_signs([c.vec for c in eq.constants], target,
-                            eq.group.m)
+    totals = [sum(col) % m for col in zip(*(c.vec for c in cs))]
+    if m % 2 == 0:
+        if any(t % 2 for t in totals):
+            return None
+        return cs, tuple([t // 2 for t in totals])
+    half = pow(2, -1, m)
+    return cs, tuple([t * half % m for t in totals])
 
 
 def decide_signvector(eq: SphericalEquation) -> bool:
-    """Exact decision for equations whose constants all have sign +1."""
+    """Exact decision over Z_m^k x| C_2, D_n included."""
+    if has_reflection(eq):
+        return _half_sum(eq) is not None
     return _signs(eq) is not None
 
 
 def solve_signvector(eq: SphericalEquation):
-    """Conjugators for equations whose constants all have sign +1, or None.
+    """Conjugators over Z_m^k x| C_2, D_n included, or None.
 
-    z_i is the identity where e_i = +1 and beta = (0, -1) where e_i = -1,
-    since beta^-1 (a, 1) beta = (-a, 1).
+    Without a reflection, z_i is the identity where e_i = +1 and
+    beta = (0, -1) where e_i = -1, since beta^-1 (a, 1) beta = (-a, 1).
+    With one, z_l = (h_l, g_l) turns (a_l, d_l) into
+    (g_l a_l + g_l (d_l - 1) h_l, d_l), and the product's vector is
+    sum D_l g_l (a_l - [d_l = -1] 2 h_l), D_l the product of the earlier
+    signs.  g_l = D_l makes every D_l g_l 1, so the vector is
+    sum a_l - 2h with h at the first reflection: the h of _half_sum.
     """
-    signs = _signs(eq)
-    if signs is None:
-        return None
     ident = eq.group.identity()
-    beta = SemidirectElement((0,) * eq.group.k, -1, eq.group.m)
-    return checked(eq, Solution([ident if e == 1 else beta for e in signs]))
+    if not has_reflection(eq):
+        signs = _signs(eq)
+        if signs is None:
+            return None
+        beta = SemidirectElement._of(ident.vec, -1, ident.m)
+        signs = iter(signs)
+        return checked(eq, Solution([
+            beta if any(c.vec) and next(signs) == -1 else ident
+            for c in eq.constants]))
+    found = _half_sum(eq)
+    if found is None:
+        return None
+    cs, h = found
+    prefix = 1
+    placed = False
+    zs = []
+    for c in cs:
+        vec = ident.vec
+        if c.sign == -1 and not placed:
+            vec, placed = h, True
+        zs.append(SemidirectElement._of(vec, prefix, ident.m))
+        prefix *= c.sign
+    return reinflate(eq, zs)
 
 
 def certificate_to_solution(k, subsets, m, cert) -> Solution:
@@ -182,6 +224,5 @@ def certificate_to_solution(k, subsets, m, cert) -> Solution:
 
 
 def embed_dihedral_power(el: SemidirectElement):
-    """The injection Z_m^k x| C_2 -> (Z_m x| C_2)^k repeating the sign."""
-    from .dihedral import DihedralElement
-    return tuple(DihedralElement(a, el.sign, el.m) for a in el.vec)
+    """The injection Z_m^k x| C_2 -> (D_m)^k repeating the sign."""
+    return tuple(SemidirectElement._of((a,), el.sign, el.m) for a in el.vec)

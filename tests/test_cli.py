@@ -189,8 +189,9 @@ def test_reduce_xcover_then_solve(monkeypatch, capsys):
 
 
 def test_sign_cap_is_capacity(monkeypatch, capsys):
-    payload = {"group": {"family": "semidirect", "m": 3, "k": 1},
-               "constants": [{"vec": [1], "sign": 1}] * 33}
+    # k = 2: with k = 1 the group is D_3, whose bitset search has no such cap
+    payload = {"group": {"family": "semidirect", "m": 3, "k": 2},
+               "constants": [{"vec": [1, 0], "sign": 1}] * 33}
     for verb in ("decide", "solve"):
         code, out = run([verb], payload, monkeypatch, capsys)
         assert code == 3 and out == ""
@@ -335,6 +336,14 @@ WITNESS_ROUTES = {
     "semidirect-signvector": (["solve"], {
         "group": {"family": "semidirect", "m": 5, "k": 2},
         "constants": [{"vec": [1, 0], "sign": 1}, {"vec": [4, 0], "sign": 1}]}),
+    "semidirect-reflection": (["solve"], {
+        "group": {"family": "semidirect", "m": 4, "k": 2},
+        "constants": [{"vec": [1, 0], "sign": -1}, {"vec": [3, 2], "sign": 1}],
+        "rhs": {"vec": [0, 0], "sign": -1}}),
+    "et2n-criterion": (["solve"], {
+        "group": {"family": "et2n", "n": 6},
+        "constants": [{"e1": 5, "b": 1, "e2": 1}, {"e1": 5, "b": 3, "e2": 5}],
+        "rhs": {"e1": 1, "b": 2, "e2": 5}}),
     "cayley-dp": (["solve"], {
         "group": {"family": "cayley", "table": [[0, 1], [1, 0]]},
         "constants": [{"idx": 1}, {"idx": 1}]}),
@@ -355,6 +364,32 @@ def test_solve_witness_gate_is_not_an_assert(method, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     with pytest.raises(RuntimeError, match="witness fails verification"):
         cli.main(argv)
+
+
+# |G| = 2 * 3^9 and 4 * 2501, both above CAP: only a closed form answers
+@pytest.mark.parametrize("payload", [
+    {"group": {"family": "semidirect", "m": 3, "k": 9},
+     "constants": [{"vec": [1] * 9, "sign": -1},
+                   {"vec": [2, 0] * 4 + [1], "sign": -1},
+                   {"vec": [0, 1] * 4 + [2], "sign": 1}]},
+    {"group": {"family": "et2n", "n": 2501},
+     "constants": [{"e1": 2500, "b": 3, "e2": 1},
+                   {"e1": 2500, "b": 10, "e2": 2500},
+                   {"e1": 1, "b": 7, "e2": 2500}]},
+], ids=["semidirect-m3-k9", "et2n-n2501"])
+def test_closed_forms_answer_past_the_oracle_cap(payload, monkeypatch, capsys):
+    code, out = run(["solve"], payload, monkeypatch, capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["solvable"] and rep["verified"]
+    code, out = run(["decide"], payload, monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["solvable"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["solve", "--force-oracle"]) == 3
+    out, err = capsys.readouterr()
+    family = payload["group"]["family"]
+    assert out == "" and err == (f"capacity error: the {family} group has "
+                                 f"more than 10000 elements\n")
 
 
 def _python(args, payload, flags=(), timeout=120, **environ):
@@ -385,7 +420,8 @@ def test_oracle_refuses_a_huge_semidirect_group_quickly():
     # above CAP
     payload = {"group": {"family": "semidirect", "m": 10**4000, "k": 2000},
                "constants": [{"vec": [1] * 2000, "sign": -1}]}
-    proc = _python(["-m", "spherical.cli", "decide"], payload, timeout=5)
+    proc = _python(["-m", "spherical.cli", "decide", "--force-oracle"],
+                   payload, timeout=5)
     assert proc.returncode == 3 and proc.stdout == b""
     assert proc.stderr == (b"capacity error: the semidirect group has more "
                            b"than 10000 elements\n")
@@ -636,8 +672,7 @@ def test_unreadable_payloads_are_input_errors(tmp_path, monkeypatch, capsys):
     # the bitset would need 60 * 10^10 bits, and 60 values are past SIGN_CAP
     (["decide"], {"group": {"family": "dihedral", "n": 10**10},
                   "constants": [{"k": k, "delta": 1} for k in range(1, 61)]},
-     "60 rotation constants are too many for a signed-sum search modulo "
-     "this n"),
+     "60 constants are too many for a signed-sum search"),
 ], ids=["heisenberg-n", "semidirect-k", "symmetric-n", "alternating-n",
         "gl2p-p", "xcover-k", "3part-n", "dihedral-rotations"])
 def test_parameters_above_the_cap_are_capacity_errors(argv, payload, message,

@@ -6,13 +6,15 @@ import pytest
 from spherical.core import (GroupSpec, SphericalEquation, TooLargeError,
                             conjugacy_classes, decide_cayley, solve_brute,
                             verify)
-from spherical import dihedral
-from spherical.dihedral import (DihedralElement, Et2Element, decide_dn,
-                                solve_dn, reduce_partition, embed_et2)
+from spherical import core, semidirect
+from spherical.dihedral import (Et2Element, decide_dn, decide_et2, solve_dn,
+                                solve_et2, reduce_partition, embed_et2)
+from spherical.semidirect import SemidirectElement
 
 
 def d(k, delta, n):
-    return DihedralElement(k, delta, n)
+    """(k, delta) in D_n, the k = 1 case of Z_n^k x| C_2."""
+    return SemidirectElement((k,), delta, n)
 
 
 def test_group_laws():
@@ -52,7 +54,8 @@ def test_solve_examples():
 
 
 def test_matches_oracle_exhaustive():
-    for n in range(3, 9):
+    # D_1 and D_2 are Z_1 x| C_2 and Z_2 x| C_2; semidirect needs m >= 2
+    for n in range(1, 9):
         spec = GroupSpec("dihedral", n=n)
         els = spec.elements()
         for k in (1, 2, 3):
@@ -145,16 +148,17 @@ def test_embed_et2():
 ])
 def test_signed_sum_dp_both_sides_of_the_switch(n, counts, bitset,
                                                  monkeypatch):
+    # rotations (v, 1) of D_n: core.signed_sum_signs in one coordinate
     calls = []
-    real = dihedral.signed_sum_signs
-    monkeypatch.setattr(dihedral, "signed_sum_signs",
+    real = core._meet_in_the_middle
+    monkeypatch.setattr(core, "_meet_in_the_middle",
                         lambda *args: calls.append(args) or real(*args))
     r = random.Random(n)
     for count in counts:
         if bitset is None:
             with pytest.raises(TooLargeError, match="too many"):
-                dihedral._signed_sum_dp(
-                    [r.randrange(n) for _ in range(count)], n)
+                core.signed_sum_signs(
+                    [(r.randrange(n),) for _ in range(count)], (0,), n)
             assert not calls
             continue
         # past 12 values only the planted sums are checked, not by brute force
@@ -163,7 +167,7 @@ def test_signed_sum_dp_both_sides_of_the_switch(n, counts, bitset,
             if trial % 2 and count:  # plant a zero sum
                 vals[-1] = sum(r.choice((1, -1)) * v for v in vals[:-1]) % n
             calls.clear()
-            got = dihedral._signed_sum_dp(vals, n)
+            got = core.signed_sum_signs([(v,) for v in vals], (0,), n)
             assert bool(calls) != bitset, (n, count)
             if count <= 12:
                 want = any(sum(e * v for e, v in zip(signs, vals)) % n == 0
@@ -179,10 +183,46 @@ def test_signed_sum_dp_both_sides_of_the_switch(n, counts, bitset,
 
 def test_solve_dn_runs_one_signed_sum(monkeypatch):
     calls = []
-    real = dihedral._signed_sum_dp
-    monkeypatch.setattr(dihedral, "_signed_sum_dp",
-                        lambda vals, n: calls.append(vals) or real(vals, n))
+    real = semidirect.signed_sum_signs
+    monkeypatch.setattr(semidirect, "signed_sum_signs",
+                        lambda *args: calls.append(args) or real(*args))
     eq = reduce_partition([3, 1, 2, 4])
     assert verify(eq, solve_dn(eq)) and len(calls) == 1
     calls.clear()
     assert solve_dn(reduce_partition([1, 2])) is None and len(calls) == 1
+
+
+def test_et2n_matches_oracle_exhaustive():
+    for n in range(3, 9):
+        spec = GroupSpec("et2n", n=n)
+        els = spec.elements()
+        for k in (1, 2, 3):
+            for cs in itertools.product(els, repeat=k):
+                eq = SphericalEquation(spec, list(cs))
+                got = decide_et2(eq)
+                assert got == decide_cayley(eq), (n, cs)
+                sol = solve_et2(eq)
+                assert (sol is not None) == got, (n, cs)
+                if got:
+                    assert verify(eq, sol)
+
+
+def test_et2n_solve_with_rhs():
+    r = random.Random(4)
+
+    def rand_el(n):
+        return Et2Element(r.choice((1, -1)), r.randrange(n),
+                          r.choice((1, -1)), n)
+
+    for n in (3, 4, 6, 9, 2501):
+        spec = GroupSpec("et2n", n=n)
+        for _ in range(200):
+            cs = [rand_el(n) for _ in range(r.randrange(1, 5))]
+            rhs = rand_el(n)
+            eq = SphericalEquation(spec, cs, rhs)
+            sol = solve_et2(eq)
+            assert (sol is not None) == decide_et2(eq)
+            if n < 10:
+                assert decide_et2(eq) == decide_cayley(eq)
+            if sol is not None:
+                assert verify(eq, sol)

@@ -5,8 +5,7 @@ import pytest
 
 from spherical.core import (GroupSpec, InputError, SphericalEquation,
                             TooLargeError, decide_cayley, verify)
-from spherical.dihedral import DihedralElement
-from spherical import core, semidirect
+from spherical import core
 from spherical.semidirect import (SemidirectElement, reduce_xcover, decide_signvector,
                                   solve_signvector, certificate_to_solution,
                                   embed_dihedral_power)
@@ -56,22 +55,61 @@ def test_decide_signvector_examples():
     # the conjugates all have sign +1, so an rhs of sign -1 is out of reach
     eq = SphericalEquation(spec, [e1, e1n], SemidirectElement((0, 0), -1, 5))
     assert not decide_signvector(eq) and solve_signvector(eq) is None
-    with pytest.raises(ValueError, match="constants must all have sign"):
-        decide_signvector(SphericalEquation(
-            spec, [SemidirectElement((1, 0), -1, 5)]))
+    # one reflection: an odd number of sign -1 factors
+    eq = SphericalEquation(spec, [SemidirectElement((1, 0), -1, 5)])
+    assert not decide_signvector(eq) and solve_signvector(eq) is None
+    # two: m = 5 is odd, so 2h = (1, 0) + (2, 3) has a solution h
+    eq = SphericalEquation(spec, [SemidirectElement((1, 0), -1, 5),
+                                  SemidirectElement((2, 3), -1, 5)])
+    assert decide_signvector(eq) and verify(eq, solve_signvector(eq))
+    # m = 4 is even: the vectors must sum to 0 mod 2 in every coordinate
+    spec = GroupSpec("semidirect", m=4, k=2)
+    for vec, want in (((1, 2), True), ((2, 2), False), ((1, 1), False)):
+        eq = SphericalEquation(spec, [SemidirectElement((1, 0), -1, 4),
+                                      SemidirectElement(vec, -1, 4)])
+        assert decide_signvector(eq) == want == decide_cayley(eq)
 
 
 def test_sign_cap_is_checked_before_any_search(monkeypatch):
+    # k = 1 is D_3, whose 33 rotations the bitset takes in one coordinate
+    eq = SphericalEquation(GroupSpec("semidirect", m=3, k=1),
+                           [SemidirectElement((1,), 1, 3)] * 33)
+    assert decide_signvector(eq) and verify(eq, solve_signvector(eq))
+
     def search(*args):
         raise AssertionError("searched past the cap")
 
-    monkeypatch.setattr(semidirect, "signed_sum_signs", search)
-    assert semidirect.SIGN_CAP == 32
-    eq = SphericalEquation(GroupSpec("semidirect", m=3, k=1),
-                           [SemidirectElement((1,), 1, 3)] * 33)
+    monkeypatch.setattr(core, "_bitset_signs", search)
+    monkeypatch.setattr(core, "_meet_in_the_middle", search)
+    assert core.SIGN_CAP == 32
+    eq = SphericalEquation(GroupSpec("semidirect", m=3, k=2),
+                           [SemidirectElement((1, 0), 1, 3)] * 33)
     for fn in (decide_signvector, solve_signvector):
         with pytest.raises(TooLargeError):
             fn(eq)
+
+
+def test_kernel_matches_oracle_exhaustive():
+    # every ordered tuple of 1-3 constants, reflections included; the
+    # oracle's verdict does not depend on the order, so it runs once per
+    # multiset
+    for m in range(2, 7):
+        for k in (1, 2):
+            spec = GroupSpec("semidirect", m=m, k=k)
+            els = spec.elements()
+            verdicts = {}
+            for count in (1, 2, 3):
+                for idx in itertools.product(range(len(els)), repeat=count):
+                    cs = [els[i] for i in idx]
+                    eq = SphericalEquation(spec, cs)
+                    key = tuple(sorted(idx))
+                    if key not in verdicts:
+                        verdicts[key] = decide_cayley(eq)
+                    want = verdicts[key]
+                    assert decide_signvector(eq) == want, (m, k, cs)
+                    # a witness returns only through core.checked's verify
+                    sol = solve_signvector(eq)
+                    assert (sol is not None) == want, (m, k, cs)
 
 
 def test_signvector_matches_oracle():
@@ -190,7 +228,7 @@ def test_embedding_homomorphism():
                 b = rand_el(r, m, k)
                 ia = embed_dihedral_power(a)
                 ib = embed_dihedral_power(b)
-                assert all(isinstance(x, DihedralElement) for x in ia)
+                assert all(len(x.vec) == 1 for x in ia)
                 assert tuple(x * y for x, y in zip(ia, ib)) \
                     == embed_dihedral_power(a * b)
                 seen.add((a, ia))
