@@ -11,12 +11,11 @@ import argparse
 import itertools
 import random
 
-from spherical.core import verify
+from spherical.core import InputError, verify
 from spherical.dihedral import decide_dn, reduce_partition
 from spherical.perm import reduce_3partition, certificate_to_solution
 from spherical.semidirect import (reduce_xcover, decide_signvector,
                                   certificate_to_solution as cover_solution)
-from spherical.perm import MalformedInstanceError
 
 
 def partition_answer(a):
@@ -60,7 +59,7 @@ def run_3partition(r, trials):
         a = triple * k
         try:
             eq = reduce_3partition(a)
-        except MalformedInstanceError:
+        except InputError:
             continue
         cert = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)]
         assert verify(eq, certificate_to_solution(a, cert))
@@ -79,7 +78,7 @@ def run_xcover(r, trials):
         m = r.choice((3, 5))
         try:
             eq = reduce_xcover(k, subs, m)
-        except MalformedInstanceError:
+        except InputError:
             continue
         want = brute_cover(k, subs)
         got = decide_signvector(eq)

@@ -7,53 +7,21 @@ ask for signs e_i with sum e_i a_i = 0 mod n (the Partition hardness);
 with a reflection they are solvable iff the number of reflections is even
 and either n is odd or the a_i sum to an even number.
 
-ET(2,n) = <-I> x D_n for n >= 3: -I is central, and the matrices with top
-left entry 1 form a copy of D_n (embed_et2) that meets <-I> only in I.  So
-[[e1, b], [0, e2]] splits as (e1, (e2*b, e1*e2)); an equation over ET(2,n)
-is solvable iff the e1 signs of its constants multiply to the rhs's and its
-D_n part is solvable.
+ET(2,n) is the group of matrices [[e1, b], [0, e2]] over Z_n with e1 and
+e2 = +-1, each a mat2.Mat2 with modulus n.  ET(2,n) = <-I> x D_n for n >= 3:
+-I is central, and the matrices with top left entry 1 form a copy of D_n
+(embed_et2) that meets <-I> only in I.  So [[e1, b], [0, e2]] splits as
+(e1, (e2*b, e1*e2)); an equation over ET(2,n) is solvable iff the e1 signs
+of its constants multiply to the rhs's and its D_n part is solvable.
 """
 
 from .core import (GroupSpec, InputError, SphericalEquation, Solution,
                    checked, int_list)
+from .mat2 import Mat2
 from .semidirect import SemidirectElement, decide_signvector, solve_signvector
 
 decide_dn = decide_signvector
 solve_dn = solve_signvector
-
-
-class Et2Element:
-    """Upper triangular [[e1, b], [0, e2]] over Z_n with diagonal +-1."""
-
-    __slots__ = ("e1", "b", "e2", "n")
-
-    def __init__(self, e1, b, e2, n):
-        self.e1 = e1 % n
-        self.b = b % n
-        self.e2 = e2 % n
-        self.n = n
-        if self.e1 not in (1 % n, n - 1) or self.e2 not in (1 % n, n - 1):
-            raise InputError("diagonal entries must be +-1 mod n")
-
-    def __mul__(self, other):
-        n = self.n
-        return Et2Element(self.e1 * other.e1,
-                          self.e1 * other.b + self.b * other.e2,
-                          self.e2 * other.e2, n)
-
-    def inverse(self):
-        return Et2Element(self.e1, -self.e1 * self.b * self.e2, self.e2, self.n)
-
-    def __eq__(self, other):
-        return (isinstance(other, Et2Element)
-                and (self.e1, self.b, self.e2, self.n)
-                == (other.e1, other.b, other.e2, other.n))
-
-    def __hash__(self):
-        return hash(("et2", self.e1, self.b, self.e2, self.n))
-
-    def __repr__(self):
-        return f"[[{self.e1},{self.b}],[0,{self.e2}]]"
 
 
 def reduce_partition(a) -> SphericalEquation:
@@ -65,15 +33,14 @@ def reduce_partition(a) -> SphericalEquation:
     n = 1 + sum(a)
     spec = GroupSpec("dihedral", n=n)
     # 1 <= x < n, so each rotation is reduced already
-    return SphericalEquation(spec, [SemidirectElement._of((x,), 1, n)
-                                    for x in a])
+    return SphericalEquation(spec, [SemidirectElement((x,), 1, n) for x in a])
 
 
-def embed_et2(el: SemidirectElement) -> Et2Element:
+def embed_et2(el: SemidirectElement) -> Mat2:
     """The injection D_n -> ET(2,n) sending r to [[1,1],[0,1]] and s to
     [[1,0],[0,-1]]: (k, delta) -> [[1, delta*k], [0, delta]]."""
     (k,), delta, n = el.vec, el.sign, el.m
-    return Et2Element(1, delta * k, delta, n)
+    return Mat2(n, 1, delta * k, 0, delta)
 
 
 def _split_et2(eq: SphericalEquation):
@@ -81,11 +48,11 @@ def _split_et2(eq: SphericalEquation):
     do not multiply to the rhs's."""
     n = eq.group.n
     els = list(eq.constants) + ([] if eq.rhs is None else [eq.rhs])
-    if sum(x.e1 != 1 for x in els) % 2:
+    if sum(x.a != 1 for x in els) % 2:
         return None
-    # [[e1, b], [0, e2]] -> (e2*b, e1*e2)
-    parts = [SemidirectElement._of((x.b if x.e2 == 1 else -x.b % n,),
-                                   1 if x.e1 == x.e2 else -1, n) for x in els]
+    # [[a, b], [0, d]] -> (d*b, a*d)
+    parts = [SemidirectElement((x.b if x.d == 1 else -x.b % n,),
+                               1 if x.a == x.d else -1, n) for x in els]
     count = len(eq.constants)
     return SphericalEquation(GroupSpec("dihedral", n=n), parts[:count],
                              None if eq.rhs is None else parts[count])

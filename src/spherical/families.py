@@ -14,7 +14,6 @@ import math
 
 from . import core, dihedral, highdim, mat2, numtheory, perm, semidirect
 from .core import CAP, CayleyElement, InputError, TooLargeError, int_list
-from .dihedral import Et2Element
 from .highdim import HeisenbergElement, UT4Element
 from .mat2 import Mat2
 from .perm import Permutation
@@ -55,6 +54,13 @@ def _int(obj, key):
 
 def _ints(obj, key):
     return int_list(_field(obj, key), f"element field {key!r}")
+
+
+def _sign(obj, key):
+    val = _int(obj, key)
+    if val not in (1, -1):
+        raise InputError("sign or delta must be +-1")
+    return val
 
 
 def _need_n(least, most=None):
@@ -125,7 +131,10 @@ def _decode_mat2(spec, obj):
 
 
 def _decode_perm(spec, obj):
-    x = Permutation(_ints(obj, "images"))
+    images = _ints(obj, "images")
+    if sorted(images) != list(range(1, len(images) + 1)):
+        raise InputError("images must be a bijection on 1..n")
+    x = Permutation(images)
     _own_field(spec, obj, "n", x.__repr__)
     return x
 
@@ -135,7 +144,22 @@ def _decode_semidirect(spec, obj):
     if len(vec) != spec.k:
         raise InputError(
             f"vec has length {len(vec)}, the group has k = {spec.k}")
-    return SemidirectElement(vec, _int(obj, "sign"), spec.m)
+    m = spec.m
+    return SemidirectElement([v % m for v in vec], _sign(obj, "sign"), m)
+
+
+def _decode_heisenberg(spec, obj):
+    a1, a2, a3 = _ints(obj, "alpha1"), _int(obj, "a2"), _ints(obj, "alpha3")
+    if len(a1) != spec.n - 2 or len(a3) != spec.n - 2:
+        raise InputError("vector parts must have length n-2")
+    return HeisenbergElement(a1, a2, a3, spec.n, spec.p)
+
+
+def _decode_ut4(spec, obj):
+    entries = _ints(obj, "entries")
+    if len(entries) != 6:
+        raise InputError("need six entries")
+    return UT4Element(spec.p, entries)
 
 
 def _gl2_route(eq, rng):
@@ -177,7 +201,7 @@ _SYMMETRIC = Family(
     check=_need_n(1, CAP),
     order=lambda s: math.factorial(s.n),
     identity=lambda s: Permutation.identity(s.n),
-    elements=lambda s: map(Permutation._of,
+    elements=lambda s: map(Permutation,
                            itertools.permutations(range(1, s.n + 1))),
     decode=_decode_perm,
     encode=lambda x: {"n": x.n, "images": list(x.images)},
@@ -217,11 +241,11 @@ FAMILIES = {
     "dihedral": Family(
         check=_need_n(1),
         order=lambda s: 2 * s.n,
-        identity=lambda s: SemidirectElement._of((0,), 1, s.n),
-        elements=lambda s: (SemidirectElement._of((k,), d, s.n)
+        identity=lambda s: SemidirectElement((0,), 1, s.n),
+        elements=lambda s: (SemidirectElement((k,), d, s.n)
                             for d in (1, -1) for k in range(s.n)),
         decode=lambda s, o: SemidirectElement(
-            (_int(o, "k"),), _int(o, "delta"), s.n),
+            (_int(o, "k") % s.n,), _sign(o, "delta"), s.n),
         encode=lambda x: {"k": x.vec[0], "delta": x.sign},
         contains=lambda s, x: x.m == s.n and len(x.vec) == 1,
         route=_fixed("dihedral-criterion", dihedral.decide_dn,
@@ -245,14 +269,16 @@ FAMILIES = {
     "et2n": Family(
         check=_need_n(3),
         order=lambda s: 4 * s.n,
-        identity=lambda s: Et2Element(1, 0, 1, s.n),
-        elements=lambda s: (Et2Element(e1, b, e2, s.n)
+        identity=lambda s: Mat2.identity(s.n),
+        elements=lambda s: (Mat2(s.n, e1, b, 0, e2)
                             for e1 in (1, s.n - 1) for e2 in (1, s.n - 1)
                             for b in range(s.n)),
-        decode=lambda s, o: Et2Element(_int(o, "e1"), _int(o, "b"),
-                                       _int(o, "e2"), s.n),
-        encode=lambda x: {"e1": x.e1, "b": x.b, "e2": x.e2},
-        contains=lambda s, x: x.n == s.n,
+        decode=lambda s, o: Mat2(s.n, _int(o, "e1"), _int(o, "b"), 0,
+                                 _int(o, "e2")),
+        encode=lambda x: {"e1": x.a, "b": x.b, "e2": x.d},
+        contains=lambda s, x: (x.p == s.n and x.c == 0
+                               and x.a in (1, s.n - 1)
+                               and x.d in (1, s.n - 1)),
         route=_fixed("et2n-criterion", dihedral.decide_et2,
                      dihedral.solve_et2)),
     "heisenberg": Family(
@@ -261,8 +287,7 @@ FAMILIES = {
         identity=lambda s: HeisenbergElement(
             (0,) * (s.n - 2), 0, (0,) * (s.n - 2), s.n, s.p),
         elements=_heisenberg_elements,
-        decode=lambda s, o: HeisenbergElement(
-            _ints(o, "alpha1"), _int(o, "a2"), _ints(o, "alpha3"), s.n, s.p),
+        decode=_decode_heisenberg,
         encode=lambda x: {"alpha1": list(x.a1), "a2": x.a2,
                           "alpha3": list(x.a3)},
         contains=lambda s, x: (x.n, x.p) == (s.n, s.p),
@@ -274,7 +299,7 @@ FAMILIES = {
         identity=lambda s: UT4Element(s.p, (0,) * 6),
         elements=lambda s: (UT4Element(s.p, e) for e in
                             itertools.product(range(s.p), repeat=6)),
-        decode=lambda s, o: UT4Element(s.p, _ints(o, "entries")),
+        decode=_decode_ut4,
         encode=lambda x: {"entries": list(x.e)},
         contains=lambda s, x: x.p == s.p,
         route=_fixed("ut4-closed-form", highdim.decide_ut4,
@@ -283,7 +308,7 @@ FAMILIES = {
         check=_check_semidirect,
         order=lambda s: 2 * s.m**s.k,
         identity=lambda s: SemidirectElement((0,) * s.k, 1, s.m),
-        elements=lambda s: (SemidirectElement._of(v, sign, s.m)
+        elements=lambda s: (SemidirectElement(v, sign, s.m)
                             for sign in (1, -1) for v in
                             itertools.product(range(s.m), repeat=s.k)),
         decode=_decode_semidirect,

@@ -7,7 +7,7 @@ the X_i and C_i.  Deciding solvability reduces to a handful of linear (or,
 for UT(4,p), one bilinear) equations over Z_p.
 """
 
-from .core import SphericalEquation, InputError, normalize, reinflate
+from .core import SphericalEquation, normalize, reinflate
 
 
 def _vadd(u, v, p):
@@ -30,8 +30,6 @@ class HeisenbergElement:
         self.a1 = tuple(x % p for x in a1)
         self.a2 = a2 % p
         self.a3 = tuple(x % p for x in a3)
-        if len(self.a1) != n - 2 or len(self.a3) != n - 2:
-            raise InputError("vector parts must have length n-2")
 
     def __mul__(self, other):
         if (self.n, self.p) != (other.n, other.p):
@@ -68,11 +66,8 @@ class UT4Element:
     __slots__ = ("p", "e")
 
     def __init__(self, p, e):
-        e = tuple(x % p for x in e)
-        if len(e) != 6:
-            raise InputError("need six entries")
         self.p = p
-        self.e = e
+        self.e = tuple(x % p for x in e)
 
     def __mul__(self, other):
         if self.p != other.p:

@@ -14,6 +14,9 @@ from .numtheory import Rng, legendre, sqrt_mod, solve_weighted_trace
 
 
 class Mat2:
+    """[[a, b], [c, d]] over Z_p: p is prime, except for ET(2,n), whose
+    matrices are Mat2s over Z_n."""
+
     __slots__ = ("p", "a", "b", "c", "d")
 
     def __init__(self, p, a, b, c, d):
@@ -50,7 +53,8 @@ class Mat2:
         dt = self.det()
         if dt == 0:
             raise ValueError("singular matrix")
-        di = pow(dt, self.p - 2, self.p)
+        # not Fermat's dt^(p-2): ET(2,n)'s modulus n may be composite
+        di = pow(dt, -1, self.p)
         return Mat2(self.p, self.d * di, -self.b * di,
                     -self.c * di, self.a * di)
 

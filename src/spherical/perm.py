@@ -10,29 +10,19 @@ from operator import itemgetter
 
 from .core import GroupSpec, InputError, SphericalEquation, Solution, int_list
 
-# the name reduction callers have long caught
-MalformedInstanceError = InputError
-
 
 class Permutation:
+    """The bijection i -> images[i - 1] of 1..n; families.decode checks that
+    a payload's images are one."""
+
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise InputError("images must be a bijection on 1..n")
-        self.images = images
-
-    @classmethod
-    def _of(cls, images):
-        """images, a tuple known to be a bijection; never a payload's."""
-        x = object.__new__(cls)
-        x.images = images
-        return x
+        self.images = tuple(images)
 
     @classmethod
     def identity(cls, n):
-        return cls._of(tuple(range(1, n + 1)))
+        return cls(range(1, n + 1))
 
     @classmethod
     def from_cycle(cls, points, n):
@@ -42,7 +32,7 @@ class Permutation:
         images = list(range(1, n + 1))
         for a, b in zip(points, points[1:] + points[:1]):
             images[a - 1] = b
-        return cls._of(tuple(images))
+        return cls(images)
 
     @property
     def n(self):
@@ -57,13 +47,13 @@ class Permutation:
         # itemgetter(j) gives an item, not a 1-tuple; S_0, S_1 are trivial
         if len(self.images) < 2:
             return self
-        return Permutation._of(itemgetter(*other.images)((0,) + self.images))
+        return Permutation(itemgetter(*other.images)((0,) + self.images))
 
     def inverse(self):
         inv = [0] * (len(self.images) + 1)
         for i, j in enumerate(self.images, 1):
             inv[j] = i
-        return Permutation._of(tuple(inv[1:]))
+        return Permutation(inv[1:])
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -143,7 +133,7 @@ def conjugator(s: Permutation, t: Permutation) -> Permutation:
     for pa, pb in zip([i for i, j in enumerate(t.images, 1) if i == j],
                       [i for i, j in enumerate(s.images, 1) if i == j]):
         images[pa] = pb
-    return Permutation._of(tuple(images[1:]))
+    return Permutation(images[1:])
 
 
 def _check_3partition(a, alternating=False):

@@ -14,6 +14,10 @@ reflection (rhs folded in) the equation is solvable iff the number of
 reflections is even and either m is odd or the sum of all vectors is 0 mod
 2 in every coordinate.  ET(2,n) = <-I> x D_n reaches the kernel through its
 D_n factor (dihedral.decide_et2).
+
+SemidirectElement builds what it is given: families.decode checks a
+payload's sign and reduces its vector mod m, and every product and
+inverse reduces its own.
 """
 
 from .core import (CAP, GroupSpec, InputError, SphericalEquation, Solution,
@@ -22,34 +26,26 @@ from .core import (CAP, GroupSpec, InputError, SphericalEquation, Solution,
 
 
 class SemidirectElement:
+    """(vec, sign), vec a tuple reduced mod m and sign +-1."""
+
     __slots__ = ("vec", "sign", "m")
 
     def __init__(self, vec, sign, m):
-        if sign not in (1, -1):
-            raise InputError("sign or delta must be +-1")
-        self.vec = tuple([v % m for v in vec])
+        self.vec = tuple(vec)
         self.sign = sign
         self.m = m
-
-    @classmethod
-    def _of(cls, vec, sign, m):
-        """(vec, sign), vec a tuple reduced mod m; never a payload's."""
-        x = object.__new__(cls)
-        x.vec, x.sign, x.m = vec, sign, m
-        return x
 
     def __mul__(self, other):
         m, sign = self.m, self.sign
         if m != other.m or len(self.vec) != len(other.vec):
             raise ValueError("mixed groups")
-        return SemidirectElement._of(
-            tuple([(a + sign * b) % m for a, b in zip(self.vec, other.vec)]),
+        return SemidirectElement(
+            [(a + sign * b) % m for a, b in zip(self.vec, other.vec)],
             sign * other.sign, m)
 
     def inverse(self):
         m, sign = self.m, self.sign
-        return SemidirectElement._of(tuple([-sign * a % m for a in self.vec]),
-                                     sign, m)
+        return SemidirectElement([-sign * a % m for a in self.vec], sign, m)
 
     def __eq__(self, other):
         return (isinstance(other, SemidirectElement)
@@ -108,13 +104,13 @@ def reduce_xcover(k, subsets, m) -> SphericalEquation:
     # m >= 3, so the entries 0, 1 and 2 are reduced already
     constants = []
     for s in subsets:
-        constants.append(SemidirectElement._of(
-            tuple([1 if j in s else 0 for j in range(1, dim + 1)]), 1, m))
+        constants.append(SemidirectElement(
+            [1 if j in s else 0 for j in range(1, dim + 1)], 1, m))
     for i, s in enumerate(subsets, start=1):
         vec = [1 if j in s else 0 for j in range(1, k + 1)] + [0] * ell
         vec[k + i - 1] = 1
-        constants.append(SemidirectElement._of(tuple(vec), 1, m))
-    rhs = SemidirectElement._of((2,) * k + (1,) * ell, 1, m)
+        constants.append(SemidirectElement(vec, 1, m))
+    rhs = SemidirectElement((2,) * k + (1,) * ell, 1, m)
     return SphericalEquation(spec, constants, rhs)
 
 
@@ -174,7 +170,7 @@ def solve_signvector(eq: SphericalEquation):
         signs = _signs(eq)
         if signs is None:
             return None
-        beta = SemidirectElement._of(ident.vec, -1, ident.m)
+        beta = SemidirectElement(ident.vec, -1, ident.m)
         signs = iter(signs)
         return checked(eq, Solution([
             beta if any(c.vec) and next(signs) == -1 else ident
@@ -190,7 +186,7 @@ def solve_signvector(eq: SphericalEquation):
         vec = ident.vec
         if c.sign == -1 and not placed:
             vec, placed = h, True
-        zs.append(SemidirectElement._of(vec, prefix, ident.m))
+        zs.append(SemidirectElement(vec, prefix, ident.m))
         prefix *= c.sign
     return reinflate(eq, zs)
 
@@ -225,4 +221,4 @@ def certificate_to_solution(k, subsets, m, cert) -> Solution:
 
 def embed_dihedral_power(el: SemidirectElement):
     """The injection Z_m^k x| C_2 -> (D_m)^k repeating the sign."""
-    return tuple(SemidirectElement._of((a,), el.sign, el.m) for a in el.vec)
+    return tuple(SemidirectElement((a,), el.sign, el.m) for a in el.vec)

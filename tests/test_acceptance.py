@@ -12,9 +12,9 @@ import random
 from conftest import cyclic_table, q8_mul_table
 
 from spherical import numtheory
-from spherical.core import (GroupSpec, SphericalEquation, conjugacy_classes,
-                            decide_cayley, solve_brute, saturation_length,
-                            verify)
+from spherical.core import (GroupSpec, InputError, SphericalEquation,
+                            conjugacy_classes, decide_cayley, solve_brute,
+                            saturation_length, verify)
 from spherical.dihedral import decide_dn, solve_dn, reduce_partition
 from spherical.highdim import (HeisenbergElement, UT4Element,
                                decide_heisenberg, solve_heisenberg,
@@ -24,9 +24,9 @@ from spherical.mat2 import (Mat2, TYPE3, classify, discriminant, decide_gl2,
                             trace_target)
 from spherical.numtheory import (Rng, legendre, sqrt_mod, solve_bivariate,
                                  solve_weighted_trace)
-from spherical.perm import (MalformedInstanceError, Permutation,
-                            reduce_3partition, reduce_3partition_an,
-                            certificate_to_solution, sign)
+from spherical.perm import (Permutation, reduce_3partition,
+                            reduce_3partition_an, certificate_to_solution,
+                            sign)
 from spherical import semidirect
 
 
@@ -300,7 +300,7 @@ def test_criterion_10_xcover_reduction():
                     for m in (3, 5):
                         try:
                             eq = semidirect.reduce_xcover(k, subs, m)
-                        except MalformedInstanceError:
+                        except InputError:
                             continue
                         want = brute_cover(k, subs)
                         got = semidirect.decide_signvector(eq)

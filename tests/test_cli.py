@@ -528,6 +528,24 @@ def _mat(rows):
 
 Z2 = {"family": "cayley", "table": [[0, 1], [1, 0]]}
 
+# payloads that a family's decoder rejects before any element is built:
+# (group, constants, message)
+DECODE_CHECKS = [
+    ({"family": "dihedral", "n": 5}, [{"k": 1, "delta": 0}],
+     "sign or delta must be +-1"),
+    ({"family": "semidirect", "m": 3, "k": 2}, [{"vec": [1, 1], "sign": 2}],
+     "sign or delta must be +-1"),
+    ({"family": "heisenberg", "n": 4, "p": 5},
+     [{"alpha1": [1], "a2": 0, "alpha3": [1, 2]}],
+     "vector parts must have length n-2"),
+    ({"family": "ut4p", "p": 5}, [{"entries": [0, 0, 0, 0, 1]}],
+     "need six entries"),
+    ({"family": "et2n", "n": 5}, [{"e1": 2, "b": 1, "e2": 1}],
+     "[[2,1],[0,1]] is not an element of the et2n group"),
+]
+DECODE_CHECK_IDS = ["D5-delta0", "semidirect-sign2", "heisenberg-short",
+                    "UT4-five-entries", "et2n-diagonal2"]
+
 
 @pytest.mark.parametrize("group, constants, conjugators, solvable, message", [
     # (1 2 3) twice is not solvable in A4; the odd (1 2) must not verify it
@@ -558,8 +576,11 @@ Z2 = {"family": "cayley", "table": [[0, 1], [1, 0]]}
     ({"family": "symmetric", "n": 3},
      [{"n": 5, "images": [2, 1, 3]}], None, None,
      "(1 2) has n = 5, the symmetric group has n = 3"),
-], ids=["A4-odd", "SL2-det2", "TL2-lower", "Z2-idx-negative",
-        "Z2-idx-too-large", "S3-short-images", "GL2-own-p", "S3-own-n"])
+] + [(group, constants, None, None, message)
+     for group, constants, message in DECODE_CHECKS],
+    ids=["A4-odd", "SL2-det2", "TL2-lower", "Z2-idx-negative",
+         "Z2-idx-too-large", "S3-short-images", "GL2-own-p", "S3-own-n"]
+    + DECODE_CHECK_IDS)
 def test_elements_outside_the_group_are_input_errors(
         group, constants, conjugators, solvable, message, monkeypatch,
         capsys):
@@ -576,6 +597,15 @@ def test_elements_outside_the_group_are_input_errors(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("group, constants, message", DECODE_CHECKS,
+                         ids=DECODE_CHECK_IDS)
+def test_decode_checks_survive_python_O(group, constants, message):
+    proc = _python(["-m", "spherical.cli", "decide"],
+                   {"group": group, "constants": constants}, flags=["-O"])
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == f"input error: {message}\n".encode()
 
 
 @pytest.mark.parametrize("family, images, message", [

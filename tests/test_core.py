@@ -66,18 +66,36 @@ def test_elements_match_order():
                  GroupSpec("alternating", n=4), GroupSpec("dihedral", n=7),
                  GroupSpec("gl2p", p=3), GroupSpec("sl2p", p=3),
                  GroupSpec("tl2p", p=5), GroupSpec("et2n", n=5),
+                 # an even composite n, where a Fermat inverse is wrong
+                 GroupSpec("et2n", n=6),
                  GroupSpec("heisenberg", n=4, p=3), GroupSpec("ut4p", p=2),
                  GroupSpec("semidirect", m=3, k=2)):
         els = spec.elements()
         assert len(els) == spec.order()
         assert len(set(els)) == spec.order()
-        assert spec.identity() in els
+        ident = spec.identity()
+        assert ident in els
         family = families.FAMILIES[spec.family]
         for x in els:
             assert family.contains(spec, x)
+            assert x * x.inverse() == ident
             assert cli.decode_element(spec, cli.encode_element(spec, x)) == x
         covered.add(spec.family)
     assert covered == set(families.FAMILIES)
+
+
+@pytest.mark.parametrize("spec, payload, reduced", [
+    (GroupSpec("dihedral", n=5), {"k": -1, "delta": -1},
+     {"k": 4, "delta": -1}),
+    (GroupSpec("semidirect", m=3, k=2), {"vec": [4, -1], "sign": 1},
+     {"vec": [1, 2], "sign": 1}),
+    (GroupSpec("et2n", n=6), {"e1": -1, "b": 7, "e2": 1},
+     {"e1": 5, "b": 1, "e2": 1}),
+], ids=["dihedral", "semidirect", "et2n"])
+def test_decode_reduces_payloads(spec, payload, reduced):
+    el = cli.decode_element(spec, payload)
+    assert cli.encode_element(spec, el) == reduced
+    assert el == cli.decode_element(spec, reduced)
 
 
 def test_elements_cap():

@@ -7,8 +7,9 @@ from spherical.core import (GroupSpec, SphericalEquation, TooLargeError,
                             conjugacy_classes, decide_cayley, solve_brute,
                             verify)
 from spherical import core, semidirect
-from spherical.dihedral import (Et2Element, decide_dn, decide_et2, solve_dn,
-                                solve_et2, reduce_partition, embed_et2)
+from spherical.dihedral import (decide_dn, decide_et2, solve_dn, solve_et2,
+                                reduce_partition, embed_et2)
+from spherical.mat2 import Mat2
 from spherical.semidirect import SemidirectElement
 
 
@@ -117,9 +118,9 @@ def test_reduce_partition_matches_partition_answer():
 
 
 def test_embed_et2():
-    assert embed_et2(d(1, 1, 5)) == Et2Element(1, 1, 1, 5)
-    assert embed_et2(d(0, -1, 5)) == Et2Element(1, 0, -1, 5)
-    assert embed_et2(d(2, -1, 5)) == Et2Element(1, -2, -1, 5)
+    assert embed_et2(d(1, 1, 5)) == Mat2(5, 1, 1, 0, 1)
+    assert embed_et2(d(0, -1, 5)) == Mat2(5, 1, 0, 0, -1)
+    assert embed_et2(d(2, -1, 5)) == Mat2(5, 1, -2, 0, -1)
     r = random.Random(3)
     for n in list(range(3, 13)) + [25, 50]:
         seen = set()
@@ -211,8 +212,8 @@ def test_et2n_solve_with_rhs():
     r = random.Random(4)
 
     def rand_el(n):
-        return Et2Element(r.choice((1, -1)), r.randrange(n),
-                          r.choice((1, -1)), n)
+        return Mat2(n, r.choice((1, -1)), r.randrange(n), 0,
+                    r.choice((1, -1)))
 
     for n in (3, 4, 6, 9, 2501):
         spec = GroupSpec("et2n", n=n)
