@@ -17,7 +17,7 @@ import sys
 from . import core, dihedral, mat2, numtheory, perm, semidirect
 from .core import (GroupSpec, SphericalEquation, Solution, InputError,
                    TooLargeError)
-from .families import FAMILIES, _field
+from .families import FAMILIES, _field, outside
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,8 +47,7 @@ def decode_element(spec: GroupSpec, obj):
     family = FAMILIES[spec.family]
     el = family.decode(spec, obj)
     if not family.contains(spec, el):
-        raise InputError(
-            f"{el!r} is not an element of the {spec.family} group")
+        raise outside(spec, el)
     return el
 
 

@@ -27,7 +27,8 @@ Family = collections.namedtuple("Family", (
     "elements",  # elements(spec) -> iterator over every element
     "decode",    # decode(spec, obj) -> element, from its JSON object
     "encode",    # encode(el) -> JSON object
-    "contains",  # contains(spec, el) -> whether a decoded el lies in G
+    "contains",  # contains(spec, el) -> whether a decoded el lies in G,
+                 # given what decode has checked (alternating: the parity)
     "route",     # route(eq, rng) -> (method name, decide, solve)
     "over_cap",  # over_cap(spec) -> |G| > CAP, shown without building |G|
 ), defaults=(lambda s: False,))
@@ -130,12 +131,35 @@ def _decode_mat2(spec, obj):
     return Mat2(spec.p, a, b, c, d)
 
 
+def outside(spec, el):
+    """The error for an element el that does not lie in spec's group."""
+    return InputError(f"{el!r} is not an element of the {spec.family} group")
+
+
+_NOT_BIJECTION = "images must be a bijection on 1..n"
+
+
 def _decode_perm(spec, obj):
     images = _ints(obj, "images")
+    # sorted runs in C: faster here than the Python walk of perm.parity
     if sorted(images) != list(range(1, len(images) + 1)):
-        raise InputError("images must be a bijection on 1..n")
+        raise InputError(_NOT_BIJECTION)
     x = Permutation(images)
     _own_field(spec, obj, "n", x.__repr__)
+    return x
+
+
+def _decode_even_perm(spec, obj):
+    """A permutation that must be even: one walk checks the bijection and
+    finds the parity, so contains need only compare n."""
+    images = _ints(obj, "images")
+    odd = perm.parity(images)
+    if odd is None:
+        raise InputError(_NOT_BIJECTION)
+    x = Permutation(images)
+    _own_field(spec, obj, "n", x.__repr__)
+    if odd:
+        raise outside(spec, x)
     return x
 
 
@@ -237,7 +261,7 @@ FAMILIES = {
         order=lambda s: max(1, math.factorial(s.n) // 2),
         elements=lambda s: (x for x in _SYMMETRIC.elements(s)
                             if perm.sign(x) == 1),
-        contains=lambda s, x: x.n == s.n and perm.sign(x) == 1),
+        decode=_decode_even_perm),
     "dihedral": Family(
         check=_need_n(1),
         order=lambda s: 2 * s.n,

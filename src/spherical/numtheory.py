@@ -25,6 +25,12 @@ class Rng:
         return self._r.randrange(1, p)
 
 
+# Bases whose strong-probable-prime tests together are exact: below
+# 4 759 123 141 (Jaeschke 1993), and below 2^64 (Sinclair 2011)
+_JAESCHKE_BASES = (2, 7, 61)
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 2^64."""
     if n < 2:
@@ -37,7 +43,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _JAESCHKE_BASES if n < 4_759_123_141 else _SINCLAIR_BASES:
+        a %= n
+        if a == 0:  # n divides the base: the test says nothing
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -6,6 +6,7 @@ Points are 1-based.  Composition applies the right factor first:
 through x^-1.
 """
 
+import math
 from operator import itemgetter
 
 from .core import GroupSpec, InputError, SphericalEquation, Solution, int_list
@@ -62,15 +63,60 @@ class Permutation:
         return hash(self.images)
 
     def __repr__(self):
-        cyc = cycle_decompose(self)
+        try:
+            cyc = cycle_decompose(self)
+        except ValueError:
+            return f"Permutation({list(self.images)})"
         if not cyc:
             return f"id{self.n}"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
+def parity(images):
+    """True when images is an odd permutation of 1..n, False when even, and
+    None when it is not a bijection on 1..n.
+
+    One walk over the cycles of length >= 2.  With every image in 1..n,
+    images is a bijection iff each walk comes back to its start before it
+    meets a point already seen.  A cycle of length L has sign (-1)^(L - 1),
+    so the parity is that of the moved points less the cycles.
+    """
+    n = len(images)
+    # no separate range check: seen[0] and seen[n+1:] start set, so a walk
+    # stops at 0, at n+1..2n+1 and at -(n+1)..-1 (which index from the end);
+    # further out, seen or the shorter succ raises IndexError
+    seen = bytearray(n + 1) + b"\1" * (n + 1)
+    seen[0] = 1
+    succ = (0, *images)
+    cycles = 0
+    try:
+        for start, i in enumerate(images, 1):
+            if i == start or seen[start]:
+                continue
+            cycles += 1
+            seen[start] = 1
+            while i != start:
+                if seen[i]:
+                    return None
+                seen[i] = 1
+                i = succ[i]
+    except IndexError:
+        return None
+    return (seen.count(1, 1, n + 1) - cycles) % 2 == 1
+
+
+def _bijection_parity(s: Permutation):
+    odd = parity(s.images)
+    if odd is None:
+        raise ValueError(f"images {list(s.images)} are not a bijection "
+                         f"on 1..{s.n}")
+    return odd
+
+
 def cycle_decompose(s: Permutation):
     """Disjoint cycles of length >= 2, each starting at its minimum, sorted
-    by minimum."""
+    by minimum; ValueError when s's images are not a bijection."""
+    _bijection_parity(s)
     images = s.images
     seen = bytearray(len(images) + 1)
     cycles = []
@@ -91,20 +137,9 @@ def mov(s: Permutation):
 
 
 def sign(s: Permutation) -> int:
-    """(-1)^(n - number of cycles), in one pass without building the
-    cycles: a cycle of length L contributes L - 1 to n - cycles."""
-    images = s.images
-    seen = bytearray(len(images) + 1)
-    odd = False
-    for start, i in enumerate(images, 1):
-        if i == start or seen[start]:
-            continue
-        seen[start] = 1
-        while i != start:
-            seen[i] = 1
-            odd = not odd
-            i = images[i - 1]
-    return -1 if odd else 1
+    """(-1)^(n - number of cycles); ValueError when s's images are not a
+    bijection."""
+    return -1 if _bijection_parity(s) else 1
 
 
 def cycle_type(s: Permutation):
@@ -154,14 +189,20 @@ def _check_3partition(a, alternating=False):
     return a, k, ell
 
 
+def _cycle_constant(x, n):
+    """The (x+1)-cycle (1 2 ... x+1) of S_n."""
+    return Permutation([*range(2, x + 2), 1, *range(x + 2, n + 1)])
+
+
 def _blocks_rhs(k, ell, n):
-    """Product of k disjoint (L+1)-cycles filling the first k(L+1) points."""
-    rhs = Permutation.identity(n)
-    for i in range(k):
-        off = i * (ell + 1)
-        rhs = rhs * Permutation.from_cycle(
-            tuple(range(off + 1, off + ell + 2)), n)
-    return rhs
+    """Product of k disjoint (L+1)-cycles filling the first k(L+1) points:
+    i -> i + 1 there, except that each block's last point goes to its
+    first."""
+    m = k * (ell + 1)
+    images = [*range(2, m + 2), *range(m + 1, n + 1)]
+    for first in range(1, m + 1, ell + 1):
+        images[first + ell - 1] = first
+    return Permutation(images)
 
 
 def reduce_3partition(a) -> SphericalEquation:
@@ -171,7 +212,7 @@ def reduce_3partition(a) -> SphericalEquation:
     a, k, ell = _check_3partition(a)
     n = k * (ell + 1)
     spec = GroupSpec("symmetric", n=n)
-    constants = [Permutation.from_cycle(tuple(range(1, x + 2)), n) for x in a]
+    constants = [_cycle_constant(x, n) for x in a]
     return SphericalEquation(spec, constants, _blocks_rhs(k, ell, n))
 
 
@@ -181,8 +222,25 @@ def reduce_3partition_an(a) -> SphericalEquation:
     a2, k, ell = _check_3partition(a, alternating=True)
     n = k * (ell + 1) + 2
     spec = GroupSpec("alternating", n=n)
-    constants = [Permutation.from_cycle(tuple(range(1, x + 2)), n) for x in a2]
+    constants = [_cycle_constant(x, n) for x in a2]
     return SphericalEquation(spec, constants, _blocks_rhs(k, ell, n))
+
+
+def _segment_conjugator(x, start, n, alternating):
+    """conjugator(c, t) for c = (1 ... x+1) and t = (start ... N), N =
+    start + x, made even when alternating.
+
+    It is the rotation i -> i + (x+1) of 1..N, fixing N+1..n: it sends t's
+    cycle onto c's and t's fixed points, in increasing order, onto c's.  A
+    rotation by r of N points has gcd(N, r) cycles, so its sign is
+    (-1)^(N - gcd(N, x+1)).  When that is odd, the two spare points, which
+    c fixes, are swapped: that commutes with c and flips the sign.
+    """
+    top = start + x
+    tail = range(top + 1, n + 1)
+    if alternating and (top - math.gcd(top, x + 1)) % 2:
+        tail = [*range(top + 1, n - 1), n, n - 1]
+    return Permutation([*range(x + 2, top + 1), *range(1, x + 2), *tail])
 
 
 def certificate_to_solution(a, cert, alternating=False) -> Solution:
@@ -206,16 +264,8 @@ def certificate_to_solution(a, cert, alternating=False) -> Solution:
             raise ValueError(f"triple {t} does not sum to L={ell}")
     zs = [None] * (3 * k)
     for i, t in enumerate(triples):
-        off = i * (ell + 1)
-        start = off + 1
+        start = i * (ell + 1) + 1
         for idx in t:
-            seg = tuple(range(start, start + a[idx] + 1))
-            c = Permutation.from_cycle(tuple(range(1, a[idx] + 2)), n)
-            z = conjugator(c, Permutation.from_cycle(seg, n))
-            if alternating and sign(z) == -1:
-                # the two spare points are fixed by c, so swapping them
-                # commutes with c and flips the conjugator's sign
-                z = z * Permutation.from_cycle((n - 1, n), n)
-            zs[idx] = z
+            zs[idx] = _segment_conjugator(a[idx], start, n, alternating)
             start += a[idx]
     return Solution(zs)

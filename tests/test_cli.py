@@ -542,9 +542,19 @@ DECODE_CHECKS = [
      "need six entries"),
     ({"family": "et2n", "n": 5}, [{"e1": 2, "b": 1, "e2": 1}],
      "[[2,1],[0,1]] is not an element of the et2n group"),
+    # the alternating decoder checks the bijection in its parity walk
+    ({"family": "alternating", "n": 4}, [{"images": [2, 3, 2, 1]}],
+     "images must be a bijection on 1..n"),
+    ({"family": "alternating", "n": 4}, [{"images": [0, 3, 1, 2]}],
+     "images must be a bijection on 1..n"),
+    ({"family": "alternating", "n": 4}, [{"images": [2, 3, 5, 1]}],
+     "images must be a bijection on 1..n"),
+    ({"family": "alternating", "n": 4}, [{"images": [2, -1, 1, 3]}],
+     "images must be a bijection on 1..n"),
 ]
 DECODE_CHECK_IDS = ["D5-delta0", "semidirect-sign2", "heisenberg-short",
-                    "UT4-five-entries", "et2n-diagonal2"]
+                    "UT4-five-entries", "et2n-diagonal2", "A4-repeated",
+                    "A4-zero", "A4-n-plus-1", "A4-minus-1"]
 
 
 @pytest.mark.parametrize("group, constants, conjugators, solvable, message", [

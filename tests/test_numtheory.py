@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,59 @@ def test_is_prime_small():
     assert nt.is_prime((1 << 61) - 1)
     assert not nt.is_prime((1 << 61) - 2)
     assert not nt.is_prime(1)
+
+
+def _is_prime_12_bases(n):
+    """Miller-Rabin with the first twelve primes as bases, exact below
+    3.18 * 10^23 (Sorenson and Webster 2015)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 2 * 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if nt.is_prime(n)] == [
+        n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_matches_twelve_bases():
+    r = random.Random(12)
+    for _ in range(10**5):
+        n = r.getrandbits(r.randint(10, 64)) | 1
+        assert nt.is_prime(n) == _is_prime_12_bases(n), n
+
+
+@pytest.mark.parametrize("n", [3215031751, 4759123141, 3474749660383,
+                               3825123056546413051])
+def test_strong_pseudoprimes_are_composite(n):
+    # strong pseudoprimes: 3215031751 to bases 2, 3, 5 and 7, 4759123141 to
+    # 2, 7 and 61 (it is the three-base bound), and the others to the first
+    # six and the first nine primes
+    assert not nt.is_prime(n)
 
 
 def test_legendre_examples():

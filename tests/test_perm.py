@@ -1,12 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherical.core import GroupSpec, SphericalEquation, decide_cayley, \
-    solve_brute, verify
-from spherical.perm import (Permutation, cycle_decompose, mov, sign,
+from spherical.core import GroupSpec, Solution, SphericalEquation, \
+    decide_cayley, solve_brute, verify
+from spherical.perm import (Permutation, cycle_decompose, mov, parity, sign,
                             cycle_type, conjugate_check, conjugator,
                             reduce_3partition, reduce_3partition_an,
                             certificate_to_solution)
@@ -36,15 +39,33 @@ def _cycle_parity(s):
     return -1 if even % 2 else 1
 
 
+def _inversions(images):
+    """The number of pairs i < j with images[i] > images[j], by a Fenwick
+    tree over the values seen so far."""
+    tree = [0] * (len(images) + 1)
+    count = 0
+    for seen, v in enumerate(images):
+        i = v
+        while i > 0:  # values <= v seen so far
+            count -= tree[i]
+            i -= i & -i
+        count += seen
+        i = v
+        while i < len(tree):
+            tree[i] += 1
+            i += i & -i
+    return count
+
+
 def test_sign_matches_cycle_parity():
-    for n in range(1, 7):
-        for images in itertools.permutations(range(1, n + 1)):
-            s = Permutation(images)
-            assert sign(s) == _cycle_parity(s)
+    perms = [Permutation(images) for n in range(1, 7)
+             for images in itertools.permutations(range(1, n + 1))]
     r = random.Random(0)
-    for _ in range(200):
-        s = rand_perm(r, r.randrange(1, 1001))
+    perms += [rand_perm(r, r.randrange(1, 1001)) for _ in range(200)]
+    for s in perms:
         assert sign(s) == _cycle_parity(s)
+        # the walk's parity is that of the inversion count
+        assert parity(s.images) is (_inversions(s.images) % 2 == 1)
 
 
 def test_conjugate_check_examples():
@@ -276,3 +297,128 @@ def test_from_cycle():
     for points in ((1, 1), (2, 3, 2), (0, 1), (3, 4)):
         with pytest.raises(ValueError, match="is not a cycle on 1..3"):
             Permutation.from_cycle(points, 3)
+
+
+def test_non_bijections_raise_instead_of_hanging():
+    # walks that do not stop at a point already seen loop forever on a map
+    # that is not a bijection, so a regression must time out in a
+    # subprocess, not hang the test run
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = """
+import itertools
+from spherical.perm import Permutation, cycle_decompose, parity, sign
+wrong = 0
+for n in range(5):
+    for images in itertools.product(range(-2 * n - 3, 2 * n + 4), repeat=n):
+        bijection = sorted(images) == list(range(1, n + 1))
+        wrong += (parity(images) is None) == bijection
+        wrong += (parity(list(images)) is None) == bijection
+wrong += parity([2, 10**30, 1]) is not None
+wrong += parity([2, -10**30, 1]) is not None
+print(wrong)
+for images in ([1, 1, 3], [2, 3, 3], [0, 1], [2, 3, 4]):
+    x = Permutation(images)
+    print(repr(x))
+    for walk in (cycle_decompose, sign):
+        try:
+            walk(x)
+        except ValueError as exc:
+            print(exc)
+        else:
+            print("no error")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          timeout=10, check=False,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().splitlines()
+    assert lines[0] == "0"
+    assert len(lines) == 13 and "no error" not in lines
+    assert lines[1:4] == ["Permutation([1, 1, 3])"] + [
+        "images [1, 1, 3] are not a bijection on 1..3"] * 2
+
+
+def _yes_instance(r, k, ell):
+    """3k values in (L/4, L/2) with a planted certificate; L >= 9, so that
+    three values in that range can sum to L."""
+    lo, hi = ell // 4 + 1, (ell - 1) // 2
+    while True:
+        a, cert = [], []
+        for _ in range(k):
+            x, y = r.randint(lo, hi), r.randint(lo, hi)
+            if not lo <= ell - x - y <= hi:
+                break
+            cert.append((len(a), len(a) + 1, len(a) + 2))
+            a += [x, y, ell - x - y]
+        if len(a) == 3 * k:
+            order = list(range(3 * k))
+            r.shuffle(order)  # a[order[j]] moves to place j
+            where = {old: new for new, old in enumerate(order)}
+            return ([a[i] for i in order],
+                    [tuple(where[i] for i in t) for t in cert])
+
+
+def _instances():
+    """Seeded yes-instances; their A_n degrees k(2L+1)+2 reach 978."""
+    r = random.Random(7)
+    yield [2, 2, 2], [(0, 1, 2)]
+    yield [3, 3, 3, 3, 3, 3], [(5, 1, 3), (0, 2, 4)]
+    for _ in range(40):
+        yield _yes_instance(r, r.randint(1, 8), r.randint(9, 60))
+    yield _yes_instance(r, 8, 60)
+
+
+def _generic_certificate(a, cert, alternating):
+    """certificate_to_solution by from_cycle, conjugator and sign."""
+    a = [2 * x if alternating else x for x in a]
+    k = len(a) // 3
+    ell = sum(a) // k
+    n = k * (ell + 1) + (2 if alternating else 0)
+    zs = [None] * len(a)
+    for i, t in enumerate(sorted(t) for t in cert):
+        start = i * (ell + 1) + 1
+        for idx in t:
+            c = Permutation.from_cycle(tuple(range(1, a[idx] + 2)), n)
+            seg = tuple(range(start, start + a[idx] + 1))
+            z = conjugator(c, Permutation.from_cycle(seg, n))
+            if alternating and sign(z) == -1:
+                z = z * Permutation.from_cycle((n - 1, n), n)
+            zs[idx] = z
+            start += a[idx]
+    return zs
+
+
+def _generic_reduction(a, alternating):
+    """reduce_3partition(_an) by from_cycle constants and a product of
+    block cycles."""
+    a = [2 * x if alternating else x for x in a]
+    k = len(a) // 3
+    ell = sum(a) // k
+    n = k * (ell + 1) + (2 if alternating else 0)
+    constants = [Permutation.from_cycle(tuple(range(1, x + 2)), n) for x in a]
+    rhs = Permutation.identity(n)
+    for i in range(k):
+        off = i * (ell + 1)
+        rhs = rhs * Permutation.from_cycle(
+            tuple(range(off + 1, off + ell + 2)), n)
+    return n, constants, rhs
+
+
+def test_closed_forms_match_the_generic_construction():
+    degrees = set()
+    for a, cert in _instances():
+        for alternating, reduce in ((False, reduce_3partition),
+                                    (True, reduce_3partition_an)):
+            eq = reduce(a)
+            n, constants, rhs = _generic_reduction(a, alternating)
+            assert eq.group.n == n and eq.constants == constants
+            assert eq.rhs == rhs
+            zs = certificate_to_solution(a, cert, alternating).conjugators
+            assert zs == _generic_certificate(a, cert, alternating)
+            assert all(type(z.images) is tuple for z in zs)
+            if alternating:
+                assert all(sign(z) == 1 for z in zs)
+                degrees.add(n)
+            assert verify(eq, Solution(zs))
+    assert max(degrees) == 8 * 121 + 2
