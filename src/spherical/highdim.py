@@ -133,41 +133,6 @@ def linsolve_modp(rows, rhs, nvars, p):
     return sol
 
 
-def solve_bilinear(alpha, beta, delta, zeta, p):
-    """One root of sum alpha[i][j] x_i y_j + sum(beta_i x_i + delta_j y_j)
-    + zeta = 0 over Z_p, as a pair of assignment lists, or None.
-
-    With every alpha zero this is a linear equation.  Otherwise zero all
-    variables except one pair (i0, j0) with alpha[i0][j0] != 0, pick y_j0
-    so that alpha*y_j0 + beta_i0 != 0 (at most one value is excluded), and
-    solve for x_i0.
-    """
-    r = len(beta)
-    xs = [0] * r
-    ys = [0] * r
-    zeta %= p
-    for i in range(r):
-        for j in range(r):
-            a = alpha[i][j] % p
-            if not a:
-                continue
-            for y in (0, 1):
-                w = (a * y + beta[i]) % p
-                if w:
-                    ys[j] = y
-                    xs[i] = -(zeta + delta[j] * y) * pow(w, -1, p) % p
-                    return xs, ys
-    for i in range(r):
-        if beta[i] % p:
-            xs[i] = -zeta * pow(beta[i], -1, p) % p
-            return xs, ys
-    for j in range(r):
-        if delta[j] % p:
-            ys[j] = -zeta * pow(delta[j], -1, p) % p
-            return xs, ys
-    return (xs, ys) if zeta == 0 else None
-
-
 def _prepare(eq: SphericalEquation, family, cls):
     if eq.group.family != family:
         raise ValueError(f"expected a {family} equation")
@@ -211,10 +176,12 @@ def solve_heisenberg(eq: SphericalEquation):
     p = eq.group.p
     n = eq.group.n
     d = n - 2
+    # the pairwise sum over h < i in one pass: prefix holds sum_{h<i} zeta1_h
     base = sum(c.a2 for c in cs)
-    for i, c in enumerate(cs):
-        for h in range(i):
-            base += _dot(cs[h].a1, c.a3, p)
+    prefix = (0,) * d
+    for c in cs:
+        base += _dot(prefix, c.a3, p)
+        prefix = _vadd(prefix, c.a1, p)
     base %= p
     zero = (0,) * d
     xs = [HeisenbergElement(zero, 0, zero, n, p) for _ in cs]
@@ -256,6 +223,16 @@ def solve_ut4(eq: SphericalEquation):
     (6) sum to zero and three polynomial equations in the x,y,z,v,w hold:
     two linear ones for entries (2) and (5), and one for entry (3) that is
     linear in v, w and bilinear in the x_i, y_j.
+
+    If some c1 or c6 is nonzero, a v_i or w_i clears entry (3) after a
+    linear solve.  Otherwise X_i = (x_i, 0, 0, 0, 0, y_i) suffice: then
+    X C X^-1 = (0, c2 + x c4, c3 + x c5 - y c2 - x y c4, c4, c5 - y c4, 0)
+    and such elements multiply by adding entries, so the equation is
+    sum c4_i x_i = -sum c2, sum c4_i y_i = sum c5 and
+    F = sum(c3_i + c5_i x_i - c2_i y_i - c4_i x_i y_i) = 0.  Both sums go
+    on the first t with c4_t != 0; what is left of F goes to an x_j or y_j
+    with c4_j = 0, else to a shift along two more indices with c4 != 0.
+    With neither, F is constant there and the equation is unsolvable.
     """
     eqn = _prepare(eq, "ut4p", UT4Element)
     cs = eqn.constants
@@ -309,74 +286,47 @@ def solve_ut4(eq: SphericalEquation):
             wv[i0] = -r * pow(c6[i0], -1, p)
         return finish(build(xv, zv, yv, vv, wv))
 
-    if not any(c4):
-        # everything is linear: entries (2) and (5) are fixed sums, entry
-        # (3) is sum(c5_i x_i - c2_i y_i) + sum(c3)
-        if sum(c2) % p or sum(c5) % p:
-            return None
-        total = sum(c3) % p
-        xv = [0] * k
-        yv = [0] * k
-        if total:
-            i0 = next((i for i in range(k) if c5[i]), None)
-            if i0 is not None:
-                xv[i0] = -total * pow(c5[i0], -1, p)
-            else:
-                i0 = next((i for i in range(k) if c2[i]), None)
-                if i0 is None:
-                    return None
-                yv[i0] = total * pow(c2[i0], -1, p)
-        return finish(build(xv, [0] * k, yv))
-
-    # all c^(1) = c^(6) = 0 with some c^(4) nonzero: entries (2) and (5)
-    # determine x_t, y_t from the other variables, and entry (3) becomes a
-    # bilinear form sum a_ij x_i y_j + sum(b_i x_i + d_i y_i) + zeta in the
-    # free variables, whose coefficients we read off by evaluation
-    t = next(i for i in range(k) if c4[i])
-    inv_t = pow(c4[t], -1, p)
-    free = [i for i in range(k) if i != t]
-
-    def value(xf, yf):
-        xv = list(xf)
-        yv = list(yf)
-        xv[t] = -inv_t * (sum(c4[i] * xv[i] for i in free) + sum(c2)) % p
-        yv[t] = inv_t * (sum(c5) - sum(c4[i] * yv[i] for i in free)) % p
-        return _ut4_conjugates(cs, build(xv, [0] * k, yv)).e[2]
-
-    zeros = [0] * k
-
-    def unit(i):
-        e = [0] * k
-        e[i] = 1
-        return e
-
-    # read the coefficients of the bilinear form off by evaluation
-    r = len(free)
-    zeta = value(zeros, zeros)
-    beta = [(value(unit(i), zeros) - zeta) % p for i in free]
-    delta = [(value(zeros, unit(j)) - zeta) % p for j in free]
-    col0 = [value(zeros, unit(j)) for j in free]
-    alpha = []
-    for a, i in enumerate(free):
-        vi = value(unit(i), zeros)
-        alpha.append([(value(unit(i), unit(j)) - vi - col0[b] + zeta) % p
-                      for b, j in enumerate(free)])
-    # the form has no x_i x_j terms; an all-ones probe would expose any
-    ones = [0] * k
-    for i in free:
-        ones[i] = 1
-    predicted = (sum(alpha[a][b] for a in range(r) for b in range(r))
-                 + sum(beta) + sum(delta) + zeta) % p
-    assert value(ones, ones) == predicted, "bilinear model mismatch"
-    root = solve_bilinear(alpha, beta, delta, zeta, p)
-    if root is None:
-        return None
-    xs, ys = root
+    # every c1 and c6 is 0: the written-down form above
+    a = -sum(c2) % p
+    b = sum(c5) % p
     xv = [0] * k
     yv = [0] * k
-    for a, i in enumerate(free):
-        xv[i] = xs[a]
-        yv[i] = ys[a]
-    xv[t] = -inv_t * (sum(c4[i] * xv[i] for i in free) + sum(c2)) % p
-    yv[t] = inv_t * (sum(c5) - sum(c4[i] * yv[i] for i in free)) % p
+    S = [i for i in range(k) if c4[i]]
+    if S:
+        t = S[0]
+        inv_t = pow(c4[t], -1, p)
+        xv[t] = a * inv_t % p
+        yv[t] = b * inv_t % p
+    elif a or b:
+        return None
+    r = sum(c3[i] + c5[i] * xv[i] - c2[i] * yv[i] - c4[i] * xv[i] * yv[i]
+            for i in range(k)) % p
+    if not r:
+        return finish(build(xv, [0] * k, yv))
+    # a variable outside S appears in F alone and linearly
+    j5 = next((j for j in range(k) if c5[j] and not c4[j]), None)
+    j2 = next((j for j in range(k) if c2[j] and not c4[j]), None)
+    if j5 is not None:
+        xv[j5] = -r * pow(c5[j5], -1, p) % p
+    elif j2 is not None:
+        yv[j2] = r * pow(c2[j2], -1, p) % p
+    elif len(S) >= 3:
+        # shifting x by lam (e_s/c4_s - e_t/c4_t) and y by
+        # mu (e_u/c4_u - e_t/c4_t) keeps both sums and moves F by
+        # lam f + mu g - lam mu / c4_t
+        s, u = S[1], S[2]
+        inv_s = pow(c4[s], -1, p)
+        inv_u = pow(c4[u], -1, p)
+        f = c5[s] * inv_s - c5[t] * inv_t + yv[t]
+        g = (c2[t] * inv_t - c2[u] * inv_u + xv[t]) % p
+        lam = 0 if g else 1
+        mu = -(r + lam * f) * pow(g - lam * inv_t, -1, p)
+        xv[s] = lam * inv_s
+        xv[t] -= lam * inv_t
+        yv[u] = mu * inv_u
+        yv[t] -= mu * inv_t
+    else:
+        # S = {t, s}: F is the constant sum(c3_i - c2_i c5_i / c4_i) on the
+        # solutions of the two sums, and it is r != 0
+        return None
     return finish(build(xv, [0] * k, yv))

@@ -102,7 +102,7 @@ def conjugate_check(A: Mat2, B: Mat2) -> bool:
     return A.trace() == B.trace() and A.det() == B.det()
 
 
-def canonicalize(A: Mat2, rng: Rng | None = None):
+def canonicalize(A: Mat2):
     """(J, P) with P^-1 A P = J, J the canonical class representative."""
     p = A.p
     tag = classify(A)
@@ -111,7 +111,7 @@ def canonicalize(A: Mat2, rng: Rng | None = None):
     half = pow(2, p - 2, p)
     if tag == TYPE1:
         xi = discriminant(A)
-        r = sqrt_mod(xi, p, rng)
+        r = sqrt_mod(xi, p)
         l1, l2 = sorted(((A.trace() + r) * half % p,
                          (A.trace() - r) * half % p))
         J = Mat2(p, l1, 0, 0, l2)
@@ -142,14 +142,14 @@ def canonicalize(A: Mat2, rng: Rng | None = None):
     return J, P
 
 
-def conjugator(A: Mat2, B: Mat2, rng: Rng | None = None) -> Mat2:
+def conjugator(A: Mat2, B: Mat2) -> Mat2:
     """Z with Z^-1 B Z = A."""
     if not conjugate_check(A, B):
         raise ValueError(f"{A!r} and {B!r} are not conjugate")
     if A.is_scalar():
         return Mat2.identity(A.p)
-    ja, pa = canonicalize(A, rng)
-    jb, pb = canonicalize(B, rng)
+    ja, pa = canonicalize(A)
+    jb, pb = canonicalize(B)
     assert ja == jb
     Z = pb * pa.inverse()
     assert Z.inverse() * B * Z == A
@@ -188,7 +188,7 @@ def _tt_against_type2(A: Mat2, J: Mat2, k: int, rng: Rng) -> Mat2:
     return Mat2(p, u, x, 0, 1)
 
 
-def _tt_against_type3(A: Mat2, J: Mat2, k: int, rng: Rng):
+def _tt_against_type3(A: Mat2, J: Mat2, k: int):
     """W with tr(A J^W) = k for J = [[s,1],[0,s]] and non-scalar A, or None
     when k = s*tr(A) and (a-d)^2 + 4bc is a nonresidue.
 
@@ -219,7 +219,7 @@ def _tt_against_type3(A: Mat2, J: Mat2, k: int, rng: Rng):
     if legendre(disc, p) == -1:
         return None
     if b != 0:
-        r = sqrt_mod(disc, p, rng)
+        r = sqrt_mod(disc, p)
         y = (a - d + r) * pow(2 * b % p, p - 2, p) % p
         z = 1
     elif c != 0 or (a - d) % p != 0:
@@ -262,18 +262,18 @@ def trace_target(A: Mat2, B: Mat2, k: int, rng: Rng):
     if want_swap:
         A, B, ta, tb = B, A, tb, ta
     if tb == TYPE1:
-        jb, pb = canonicalize(B, rng)
+        jb, pb = canonicalize(B)
         W = _tt_against_type1(A, jb, k)
         Z = pb * W
     elif tb == TYPE3:
-        jb, pb = canonicalize(B, rng)
-        W = _tt_against_type3(A, jb, k, rng)
+        jb, pb = canonicalize(B)
+        W = _tt_against_type3(A, jb, k)
         if W is None:
             return None
         Z = pb * W
     else:
-        ja, pa = canonicalize(A, rng)
-        jb, pb = canonicalize(B, rng)
+        ja, pa = canonicalize(A)
+        jb, pb = canonicalize(B)
         W = _tt_against_type2(ja, jb, k, rng)
         Z = pb * W * pa.inverse()
     if want_swap:
@@ -282,7 +282,7 @@ def trace_target(A: Mat2, B: Mat2, k: int, rng: Rng):
     return Z
 
 
-def type3_type3_solve(a_eig: int, s_eig: int, sgn: int, p: int, rng: Rng):
+def type3_type3_solve(a_eig: int, s_eig: int, sgn: int, p: int):
     """(Z2, Z3) with [[a,1],[0,a]] * ([[s,1],[0,s]])^Z2 = ([[e,1],[0,e]])^Z3
     where e = sgn * a * s."""
     if p < 3 or a_eig % p == 0 or s_eig % p == 0:
@@ -301,7 +301,7 @@ def type3_type3_solve(a_eig: int, s_eig: int, sgn: int, p: int, rng: Rng):
         z = 1 if (a + s) % p != 0 else 2
         Z2 = Mat2(p, 1, 0, 0, z)
     M = A * B.conj_by(Z2)
-    Z3 = conjugator(M, T, rng)
+    Z3 = conjugator(M, T)
     assert M == T.conj_by(Z3)
     return Z2, Z3
 
@@ -442,14 +442,14 @@ def _solve_triple(cs, rng):
     I = Mat2.identity(p)
     types = [classify(C) for C in cs]
     if types.count(TYPE3) == 3:
-        j1, p1 = canonicalize(cs[0], rng)
-        j2, p2 = canonicalize(cs[1], rng)
+        j1, p1 = canonicalize(cs[0])
+        j2, p2 = canonicalize(cs[1])
         a, s = j1.a, j2.a
         target = cs[2].inverse()
-        jt, pt = canonicalize(target, rng)
+        jt, pt = canonicalize(target)
         sgn = 1 if jt.a == a * s % p else -1
         assert jt.a == sgn * a * s % p
-        W, V = type3_type3_solve(a, s, sgn, p, rng)
+        W, V = type3_type3_solve(a, s, sgn, p)
         # the canonical identity A_c J^W (T^-1)^V = 1 conjugated by p1^-1
         # lands on the original constants
         return [I, p2 * W * p1.inverse(), pt * V * p1.inverse()]
@@ -465,7 +465,7 @@ def _solve_triple(cs, rng):
     M = A * B.conj_by(Z2)
     if not conjugate_check(M, C.inverse()):
         return None
-    Z3 = conjugator(M, C.inverse(), rng)
+    Z3 = conjugator(M, C.inverse())
     zs_perm = [Mat2.identity(p), Z2, Z3]
     out = [None, None, None]
     for slot, idx in enumerate(order):
@@ -510,7 +510,7 @@ def _solve_nonscalar(cs, rng):
     I = Mat2.identity(p)
     k = len(cs)
     if k == 2:
-        Z = conjugator(cs[0].inverse(), cs[1], rng)
+        Z = conjugator(cs[0].inverse(), cs[1])
         return [I, Z]
     if k == 3:
         out = _solve_triple(cs, rng)

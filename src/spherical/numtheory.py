@@ -21,9 +21,6 @@ class Rng:
     def residue(self, p: int) -> int:
         return self._r.randrange(p)
 
-    def nonzero(self, p: int) -> int:
-        return self._r.randrange(1, p)
-
 
 # Bases whose strong-probable-prime tests together are exact: below
 # 4 759 123 141 (Jaeschke 1993), and below 2^64 (Sinclair 2011)
@@ -81,7 +78,7 @@ def smallest_nonresidue(p: int) -> int:
     raise ValueError(f"no quadratic nonresidue mod {p}")
 
 
-def sqrt_mod(c: int, p: int, rng: Rng | None = None) -> int:
+def sqrt_mod(c: int, p: int) -> int:
     """Tonelli-Shanks; returns x with x^2 = c mod p, raises if c is a nonsquare."""
     c %= p
     if c == 0:

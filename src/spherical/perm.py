@@ -132,10 +132,6 @@ def cycle_decompose(s: Permutation):
     return cycles
 
 
-def mov(s: Permutation):
-    return {i for i in range(1, s.n + 1) if s(i) != i}
-
-
 def sign(s: Permutation) -> int:
     """(-1)^(n - number of cycles); ValueError when s's images are not a
     bijection."""

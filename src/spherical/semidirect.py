@@ -217,8 +217,3 @@ def certificate_to_solution(k, subsets, m, cert) -> Solution:
     zs = [ident if i in chosen else beta for i in range(1, ell + 1)]
     zs += [ident] * ell
     return checked(reduce_xcover(k, subsets, m), Solution(zs))
-
-
-def embed_dihedral_power(el: SemidirectElement):
-    """The injection Z_m^k x| C_2 -> (D_m)^k repeating the sign."""
-    return tuple(SemidirectElement((a,), el.sign, el.m) for a in el.vec)

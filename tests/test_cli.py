@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -425,6 +426,34 @@ def test_oracle_refuses_a_huge_semidirect_group_quickly():
     assert proc.returncode == 3 and proc.stdout == b""
     assert proc.stderr == (b"capacity error: the semidirect group has more "
                            b"than 10000 elements\n")
+
+
+def test_long_closed_form_equations_answer_quickly():
+    # UT(4,p) with every c1 = c6 = 0 once read its entry-(3) form by
+    # Theta(k^3) evaluations (221 s at k = 320), and the Heisenberg base
+    # term was a pairwise sum; pytest has no timeout here, so a regression
+    # must fail in a subprocess rather than hang the run
+    r = random.Random(9)
+    p = 10007
+    ents = [[0, r.randrange(p), r.randrange(p), r.randrange(1, p),
+             r.randrange(p), 0] for _ in range(320)]
+    ents[-1][3] = -sum(e[3] for e in ents[:-1]) % p
+    ut4 = {"group": {"family": "ut4p", "p": p},
+           "constants": [{"entries": e} for e in ents]}
+    heis = [{"alpha1": [r.randrange(p)], "a2": r.randrange(p),
+             "alpha3": [r.randrange(p)]} for _ in range(2000)]
+    for key in ("alpha1", "alpha3"):
+        heis[-1][key] = [-sum(c[key][0] for c in heis[:-1]) % p]
+    heis = {"group": {"family": "heisenberg", "n": 3, "p": p},
+            "constants": heis}
+    for verb, payload in (("decide", ut4), ("solve", ut4), ("solve", heis)):
+        proc = _python(["-m", "spherical.cli", verb], payload, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        reply = json.loads(proc.stdout)
+        if verb == "decide":
+            assert reply["solvable"] is True
+        else:
+            assert len(reply["conjugators"]) == len(payload["constants"])
 
 
 @pytest.mark.parametrize("group, field", [

@@ -6,7 +6,7 @@ from spherical.core import (GroupSpec, SphericalEquation, decide_cayley,
 from spherical.highdim import (HeisenbergElement, UT4Element,
                                decide_heisenberg,
                                solve_heisenberg, decide_ut4, solve_ut4,
-                               linsolve_modp, solve_bilinear)
+                               linsolve_modp)
 
 
 def rand_heis(r, n, p):
@@ -134,32 +134,114 @@ def test_linsolve_modp():
     assert linsolve_modp([], [], 0, 5) == []
 
 
-def test_solve_bilinear_examples():
-    assert solve_bilinear([[0]], [1], [0], 3, 5) == ([2], [0])
-    xs, ys = solve_bilinear([[1]], [0], [0], -1, 5)
-    assert (xs[0] * ys[0] - 1) % 5 == 0
-    assert solve_bilinear([[0]], [0], [0], 0, 5) == ([0], [0])
-    assert solve_bilinear([[0]], [0], [0], 2, 5) is None
-    # random instances verify by substitution
+def _conjugates(cs, xs):
+    prod = None
+    for x, c in zip(xs, cs):
+        t = x * c * x.inverse()
+        prod = t if prod is None else prod * t
+    return prod
+
+
+def test_ut4_entry3_formula():
+    # the written-down form solve_ut4 uses when every c1 and c6 is 0,
+    # against real products of X_i C_i X_i^-1 with X_i = (x_i,0,0,0,0,y_i)
     r = random.Random(4)
-    for p in (5, 101):
+    for p in (2, 3, 5, 101):
         for _ in range(300):
-            n = r.randrange(1, 5)
-            alpha = [[r.randrange(p) for _ in range(n)] for _ in range(n)]
-            beta = [r.randrange(p) for _ in range(n)]
-            delta = [r.randrange(p) for _ in range(n)]
-            zeta = r.randrange(p)
-            root = solve_bilinear(alpha, beta, delta, zeta, p)
-            if root is None:
-                assert all(x == 0 for row in alpha for x in row)
-                assert all(x % p == 0 for x in beta + delta)
-                assert zeta % p != 0
-                continue
-            xs, ys = root
-            val = sum(alpha[i][j] * xs[i] * ys[j]
-                      for i in range(n) for j in range(n))
-            val += sum(beta[i] * xs[i] + delta[i] * ys[i] for i in range(n))
-            assert (val + zeta) % p == 0
+            k = r.randrange(1, 6)
+            cs = [UT4Element(p, [0] + [r.randrange(p) for _ in range(4)] + [0])
+                  for _ in range(k)]
+            x = [r.randrange(p) for _ in range(k)]
+            y = [r.randrange(p) for _ in range(k)]
+            xs = [UT4Element(p, (x[i], 0, 0, 0, 0, y[i])) for i in range(k)]
+            for c, xi, yi, t in zip(cs, x, y, xs):
+                _, c2, c3, c4, c5, _ = c.e
+                assert (t * c * t.inverse()).e == tuple(
+                    v % p for v in (0, c2 + xi * c4,
+                                    c3 + xi * c5 - yi * c2 - xi * yi * c4,
+                                    c4, c5 - yi * c4, 0))
+            _, c2, c3, c4, c5, _ = zip(*(c.e for c in cs))
+            f = sum(c3[i] + c5[i] * x[i] - c2[i] * y[i] - c4[i] * x[i] * y[i]
+                    for i in range(k))
+            assert _conjugates(cs, xs).e == tuple(v % p for v in (
+                0, sum(c2) + sum(a * b for a, b in zip(c4, x)), f, sum(c4),
+                sum(c5) - sum(a * b for a, b in zip(c4, y)), 0))
+
+
+def _ut4_inner(p):
+    """UT(4,p)'s elements with e1 = e6 = 0."""
+    return [UT4Element(p, (0,) + e + (0,))
+            for e in itertools.product(range(p), repeat=4)]
+
+
+def test_ut4_inner_matches_oracle_exhaustive():
+    spec = GroupSpec("ut4p", p=2)
+    inner = _ut4_inner(2)
+    for k in (1, 2, 3):
+        for cs in itertools.product(inner, repeat=k):
+            eq = SphericalEquation(spec, list(cs))
+            sol = solve_ut4(eq)
+            assert (sol is not None) == decide_cayley(eq), cs
+            if sol is not None:
+                assert verify(eq, sol)
+
+
+def test_ut4_matches_oracle_sampled_p3():
+    spec = GroupSpec("ut4p", p=3)
+    els = spec.elements()
+    inner = _ut4_inner(3)
+    r = random.Random(8)
+    for trial in range(3000):
+        k = r.randrange(1, 6)
+        cs = [r.choice(inner if trial % 3 else els) for _ in range(k)]
+        if trial % 2 and k >= 2:
+            # balance entries (1), (4) and (6) so the verdict is not a sum test
+            e = list(cs[-1].e)
+            for j in (0, 3, 5):
+                e[j] = -sum(c.e[j] for c in cs[:-1])
+            cs[-1] = UT4Element(3, e)
+        eq = SphericalEquation(spec, cs)
+        sol = solve_ut4(eq)
+        assert (sol is not None) == decide_cayley(eq), cs
+        if sol is not None:
+            assert verify(eq, sol)
+
+
+def test_ut4_inner_cases():
+    # one equation or more per case of the written-down form over UT(4,3);
+    # each entry is (c2, c3, c4, c5), with c1 = c6 = 0
+    p = 3
+    spec = GroupSpec("ut4p", p=p)
+
+    def eq(*entries):
+        return SphericalEquation(spec, [UT4Element(p, (0,) + e + (0,))
+                                        for e in entries])
+
+    unsolvable = [
+        eq((1, 0, 0, 0), (1, 0, 0, 0)),                 # 1: no c4, a != 0
+        eq((0, 0, 0, 1), (0, 1, 0, 0)),                 # 1: no c4, b != 0
+        eq((0, 1, 0, 0), (0, 1, 0, 0)),                 # no c4, F = 2
+        eq((0, 1, 1, 0), (0, 0, 2, 0)),                 # 5: |S| = 2, F = 1
+        eq((2, 2, 1, 0), (0, 0, 2, 1)),                 # 5: a, b != 0
+    ]
+    solvable = [
+        eq((1, 0, 1, 0), (0, 0, 2, 0)),                 # 2: x_t = 2
+        eq((1, 2, 2, 2), (0, 2, 1, 1)),                 # 2: x_t, y_t != 0
+        eq((0, 1, 0, 1), (0, 0, 0, 2)),                 # 3, no c4: x_j
+        eq((0, 1, 0, 0), (2, 0, 0, 0), (1, 0, 0, 0)),   # 3, no c4: y_j
+        eq((0, 1, 1, 0), (0, 0, 2, 0), (0, 0, 0, 1),
+           (0, 0, 0, 2)),                               # 3: x_j
+        eq((0, 1, 1, 0), (0, 0, 2, 0), (1, 0, 0, 0),
+           (2, 0, 0, 0)),                               # 3: y_j
+        eq((0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 1, 0)),   # 4: g = 0
+        eq((1, 1, 1, 0), (0, 0, 1, 0), (2, 0, 1, 0)),   # 4: g != 0
+    ]
+    for e in unsolvable:
+        assert solve_ut4(e) is None and not decide_cayley(e), e.constants
+    for e in solvable:
+        sol = solve_ut4(e)
+        assert sol is not None and verify(e, sol), e.constants
+        assert decide_cayley(e)
 
 
 def test_ut4_examples():

@@ -7,8 +7,7 @@ from spherical.core import (GroupSpec, InputError, SphericalEquation,
                             TooLargeError, decide_cayley, verify)
 from spherical import core
 from spherical.semidirect import (SemidirectElement, reduce_xcover, decide_signvector,
-                                  solve_signvector, certificate_to_solution,
-                                  embed_dihedral_power)
+                                  solve_signvector, certificate_to_solution)
 
 
 def rand_el(r, m, k):
@@ -216,21 +215,3 @@ def test_certificate_gate_is_not_an_assert(monkeypatch):
     monkeypatch.setattr(core, "verify", lambda eq, sol: False)
     with pytest.raises(RuntimeError, match="witness fails verification"):
         certificate_to_solution(2, [{1, 2}], 3, {1})
-
-
-def test_embedding_homomorphism():
-    r = random.Random(2)
-    for m in (3, 5, 7):
-        for k in (1, 2, 4, 6):
-            seen = set()
-            for _ in range(200):
-                a = rand_el(r, m, k)
-                b = rand_el(r, m, k)
-                ia = embed_dihedral_power(a)
-                ib = embed_dihedral_power(b)
-                assert all(len(x.vec) == 1 for x in ia)
-                assert tuple(x * y for x, y in zip(ia, ib)) \
-                    == embed_dihedral_power(a * b)
-                seen.add((a, ia))
-            # distinct elements map to distinct tuples
-            assert len({t for _, t in seen}) == len({a for a, _ in seen})
