@@ -9,10 +9,10 @@ retry exhaustion (RetryExhausted).  Any other exception is a bug, and ends
 in a traceback with status 1.
 """
 
-import argparse
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import core, dihedral, mat2, numtheory, perm, semidirect
 from .core import (GroupSpec, SphericalEquation, Solution, InputError,
@@ -125,7 +125,7 @@ def _cmd_reduce(args, payload):
             eq = perm.reduce_3partition(a)
     elif args.reduction == "partition":
         eq = dihedral.reduce_partition(_field(payload, "a"))
-    else:  # xcover; argparse admits no other reduction
+    else:  # xcover; the parser admits no other reduction
         eq = semidirect.reduce_xcover(_field(payload, "k"),
                                       _field(payload, "subsets"),
                                       _field(payload, "m"))
@@ -156,41 +156,172 @@ _VERBS = {
 }
 
 
-@functools.cache
+# The argv grammar, by argparse's rules for these arguments (argparse itself
+# costs more per call than most closed-form kernels): a verb, an optional
+# input path before or after the flags, long flags as `--flag value` or
+# `--flag=value` or a unique prefix of either, and `--` to end the options.
+# Two departures: every argument after the first `--` is taken as written,
+# a later `--` too, and so is a flag's value `--seed=--` (argparse dropped
+# the `--` from both, leaving no input path or a seed of [])
+_USAGE = """\
+usage: spherical [-h] [--seed SEED] [--from {3part,partition,xcover}]
+                 [--force-oracle] [--out OUT]
+                 {classify,decide,oracle,reduce,saturation,solve,verify}
+                 [input]
+"""
+_HELP = _USAGE + """
+Decide and solve spherical equations over finite groups.
+
+positional arguments:
+  {classify,decide,oracle,reduce,saturation,solve,verify}
+  input                 path to a JSON input (default: stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --from {3part,partition,xcover}
+                        reduction to generate (verb: reduce)
+  --force-oracle        route through the brute-force oracle
+  --out OUT             write output here instead of stdout
+"""
+# option string -> field; prefixes match in this order
+_OPTIONS = {"-h": "help", "--help": "help", "--seed": "seed",
+            "--from": "reduction", "--force-oracle": "force_oracle",
+            "--out": "out"}
+_REDUCTIONS = ("3part", "partition", "xcover")
+
+
+def _choices(values):
+    return ", ".join(map(repr, values))
+
+
+class Parser:
+    """The CLI's command-line parser; it keeps no state between calls."""
+
+    def error(self, message):
+        sys.stderr.write(f"{_USAGE}spherical: error: {message}\n")
+        raise SystemExit(EXIT_INPUT)
+
+    def _option(self, arg):
+        """(option string, explicit value or None) for an argument that
+        reads as an option (the string is arg itself if no option has that
+        name), None for a positional."""
+        if arg[:1] != "-" or arg == "-":
+            return None
+        if arg in _OPTIONS:
+            return arg, None
+        name, eq, value = arg.partition("=")
+        if eq and name in _OPTIONS:
+            return name, value
+        if arg[1] == "-":
+            matches = [o for o in _OPTIONS if o.startswith(name)]
+            if len(matches) > 1:
+                self.error(f"ambiguous option: {arg} could match "
+                           f"{', '.join(matches)}")
+            if matches:
+                return matches[0], value if eq else None
+        elif arg[1] == "h":
+            return "-h", arg[2:]
+        if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg:
+            return None  # a negative number, or a path with a space
+        return arg, None
+
+    def parse_args(self, argv=None):
+        args = sys.argv[1:] if argv is None else list(argv)
+        cut = args.index("--") if "--" in args else len(args)
+        # every option is read before any is acted on, so an ambiguous
+        # prefix is reported first, wherever it stands
+        opts = [self._option(arg) for arg in args[:cut]]
+        opts.append(None)
+        verb = path = reduction = out = None
+        seed, force_oracle = 0, False
+        extras = []
+        # The first run of positionals between options holds the verb and
+        # the input path; later ones are left over, and a single left-over
+        # path becomes the input.  state 0: no verb yet; 1: verb taken;
+        # 2: input taken just now; 3: that run has ended
+        state = 0
+        i, n = 0, len(args)
+        while i < n:
+            arg, opt = args[i], opts[min(i, cut)]
+            i += 1
+            if opt is None:
+                if i - 1 == cut:  # the `--` that ends the options; it is
+                    if state == 3:  # left over only past verb and input
+                        extras.append(arg)
+                elif state == 0:
+                    if arg not in _VERBS:
+                        self.error(f"argument verb: invalid choice: {arg!r} "
+                                   f"(choose from {_choices(sorted(_VERBS))})")
+                    verb, state = arg, 1
+                elif state == 1:
+                    path, state = arg, 2
+                else:
+                    extras.append(arg)
+                    state = 3
+                continue
+            if state:
+                state = 3
+            name, value = opt
+            field = _OPTIONS.get(name)
+            if field is None:
+                extras.append(arg)
+            elif field == "help":
+                if value is not None:
+                    # -hh is -h -h; --help takes no value at all
+                    rest = value.lstrip("h") if name == "-h" else value
+                    if rest or not value:
+                        self.error("argument -h/--help: ignored explicit "
+                                   f"argument {rest!r}")
+                sys.stdout.write(_HELP)
+                raise SystemExit(EXIT_OK)
+            elif field == "force_oracle":
+                if value is not None:
+                    self.error("argument --force-oracle: ignored explicit "
+                               f"argument {value!r}")
+                force_oracle = True
+            else:
+                if value is None:
+                    if i >= cut or opts[i] is not None:
+                        self.error(f"argument {name}: expected one argument")
+                    value = args[i]
+                    i += 1
+                if field == "seed":
+                    try:
+                        seed = int(value)
+                    except ValueError:
+                        self.error(f"argument --seed: invalid int value: "
+                                   f"{value!r}")
+                elif field == "out":
+                    out = value
+                elif value in _REDUCTIONS:
+                    reduction = value
+                else:
+                    self.error(f"argument --from: invalid choice: {value!r} "
+                               f"(choose from {_choices(_REDUCTIONS)})")
+        if state == 0:
+            self.error("the following arguments are required: verb")
+        if extras:
+            if path is None and len(extras) == 1 \
+                    and not extras[0].startswith("-"):
+                path = extras[0]
+            else:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return SimpleNamespace(verb=verb, input=path, seed=seed,
+                               reduction=reduction, force_oracle=force_oracle,
+                               out=out)
+
+
+_PARSER = Parser()
+
+
 def build_parser():
-    """The CLI's parser, built once per process; parsing leaves it as is."""
-    parser = argparse.ArgumentParser(
-        prog="spherical",
-        description="Decide and solve spherical equations over finite groups.")
-    parser.add_argument("verb", choices=sorted(_VERBS))
-    parser.add_argument("input", nargs="?",
-                        help="path to a JSON input (default: stdin)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--from", dest="reduction",
-                        choices=("3part", "partition", "xcover"),
-                        help="reduction to generate (verb: reduce)")
-    parser.add_argument("--force-oracle", action="store_true",
-                        help="route through the brute-force oracle")
-    parser.add_argument("--out", help="write output here instead of stdout")
-    return parser
-
-
-def _parse_args(argv):
-    """Parse argv; the input path may come before or after the flags."""
-    parser = build_parser()
-    # argparse fills verb and the optional input from the first run of
-    # positionals, so a path after a flag is left over; parse_intermixed_args
-    # would take it, at several times the cost per call
-    args, rest = parser.parse_known_args(argv)
-    if args.input is None and len(rest) == 1 and not rest[0].startswith("-"):
-        args.input = rest[0]
-    elif rest:
-        parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    return args
+    """The CLI's parser, made once at import."""
+    return _PARSER
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.input:
             with open(args.input, encoding="utf-8") as fh:

@@ -471,18 +471,6 @@ def saturation_length(spec: GroupSpec):
     return None
 
 
-def direct_product(a: GroupSpec, b: GroupSpec) -> GroupSpec:
-    """Explicit Cayley table of the direct product of two enumerable groups."""
-    ea, eb = a.elements(), b.elements()
-    if len(ea) * len(eb) > CAP:
-        raise TooLargeError("product group exceeds the cap")
-    pairs = [(x, y) for x in ea for y in eb]
-    index = {pq: i for i, pq in enumerate(pairs)}
-    table = [[index[(x1 * x2, y1 * y2)] for (x2, y2) in pairs]
-             for (x1, y1) in pairs]
-    return GroupSpec("cayley", table=tuple(tuple(r) for r in table))
-
-
 def signed_sum_signs(vecs, target, m):
     """Signs e_i = +-1 with sum_i e_i vecs[i] = target componentwise mod m,
     as a tuple, or None when no choice of signs works.

@@ -25,16 +25,6 @@ class Permutation:
     def identity(cls, n):
         return cls(range(1, n + 1))
 
-    @classmethod
-    def from_cycle(cls, points, n):
-        if len(set(points)) < len(points) or any(
-                p < 1 or p > n for p in points):
-            raise ValueError(f"{points} is not a cycle on 1..{n}")
-        images = list(range(1, n + 1))
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a - 1] = b
-        return cls(images)
-
     @property
     def n(self):
         return len(self.images)

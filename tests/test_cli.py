@@ -1,3 +1,4 @@
+import argparse
 import io
 import itertools
 import json
@@ -770,3 +771,154 @@ def test_reduction_instances_must_be_integers(reduction, payload, message,
     assert cli.main(["reduce", "--from", reduction]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"input error: {message}\n"
+
+
+def argparse_parser():
+    """The argparse parser the CLI used before its own: the reference for
+    the grammar, the messages and the exit codes."""
+    parser = argparse.ArgumentParser(
+        prog="spherical",
+        description="Decide and solve spherical equations over finite groups.")
+    parser.add_argument("verb", choices=sorted(cli._VERBS))
+    parser.add_argument("input", nargs="?",
+                        help="path to a JSON input (default: stdin)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--from", dest="reduction",
+                        choices=("3part", "partition", "xcover"),
+                        help="reduction to generate (verb: reduce)")
+    parser.add_argument("--force-oracle", action="store_true",
+                        help="route through the brute-force oracle")
+    parser.add_argument("--out", help="write output here instead of stdout")
+    return parser
+
+
+def argparse_parse(argv):
+    """argv by argparse; a path after the flags is left over by
+    parse_known_args, and taken as the input."""
+    parser = argparse_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.input is None and len(rest) == 1 and not rest[0].startswith("-"):
+        args.input = rest[0]
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
+ARG_FIELDS = ("verb", "input", "seed", "reduction", "force_oracle", "out")
+
+
+def parse_outcome(parse, argv, capsys):
+    """(exit code or None, namespace fields or None, stdout, stderr)."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as exc:
+        code, fields = exc.code, None
+    else:
+        code, fields = None, {f: getattr(args, f) for f in ARG_FIELDS}
+    out, err = capsys.readouterr()
+    return code, fields, out, err
+
+
+PARSER_CORPUS = [
+    *([verb, "p.json", "--seed", "3"] for verb in sorted(cli._VERBS)),
+    *([verb, "--seed", "3", "p.json"] for verb in sorted(cli._VERBS)),
+    ["reduce", "--from", "xcover", "p.json", "--force-oracle", "--out", "o"],
+    ["--out=o", "reduce", "p.json", "--from=3part"],
+    ["decide", "--seed=3"], ["decide", "--seed", "-5"], ["decide", "--seed=-5"],
+    ["decide", "--seed", "1", "--seed", "2"], ["decide", "--force"],
+    ["decide", "--se", "4"], ["decide", "--", "path"],
+    ["decide", "--seed", "3", "--", "-path"], ["--", "decide", "path"],
+    ["decide", "-5"], ["decide", "x y"], ["decide", ""],
+    [], ["--seed", "3"], ["bad"], ["bad", "--f"], ["decide", "--seed", "x"],
+    ["decide", "--seed", "1" * 5000], ["decide", "--seed"],
+    ["decide", "--out", "--seed"], ["decide", "--seed", "--", "3"],
+    ["reduce", "--from", "q"], ["decide", "--f"], ["decide", "--f=3"],
+    ["decide", "--force-oracle=1"], ["decide", "-s", "3"],
+    ["decide", "a", "b"], ["decide", "--seed", "1", "a", "b"],
+    ["decide", "--bogus", "a"], ["decide", "a", "--"],
+    ["decide", "--seed", "x", "--f"], ["decide", "--=x"],
+    ["-h"], ["--help"], ["--he"], ["decide", "-h"], ["-hh"], ["-hx"],
+    ["-h="], ["--help=x"], ["-h", "--f"], ["bad", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS,
+                         ids=[" ".join(a)[:40] or "(empty)"
+                                              for a in PARSER_CORPUS])
+def test_parser_matches_argparse(argv, monkeypatch, capsys):
+    # argparse wraps its usage to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    want = parse_outcome(argparse_parse, argv, capsys)
+    got = parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert got == want
+    code, fields, out, err = got
+    if code == 2:
+        assert err.endswith("\n") and err.splitlines()[-1].startswith(
+            "spherical: error: ") and out == ""
+    elif code == 0:
+        assert out.startswith("usage: spherical") and err == ""
+
+
+PARSER_TOKENS = [
+    "decide", "reduce", "bad", "p.json", "q.json", "x y", "", "-", "--",
+    "-5", "-.5", "-5e3", "-x", "3", "--seed", "--seed=3", "--seed=", "--se",
+    "--s=4", "-h", "--he", "-hh", "-hx", "--from", "--fr=xcover", "3part",
+    "--f", "--fo", "--force-oracle", "--force-oracle=", "--out", "--o=o",
+    "---seed", "--bogus"]
+
+
+def test_parser_matches_argparse_on_random_argv(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(18)
+    parse = cli.build_parser().parse_args
+    for _ in range(3000):
+        argv = [rng.choice(PARSER_TOKENS) for _ in range(rng.randrange(7))]
+        if argv.count("--") > 1:
+            continue  # see test_parser_takes_what_follows_dashes_as_written
+        assert parse_outcome(parse, argv, capsys) == parse_outcome(
+            argparse_parse, argv, capsys), argv
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["decide", "--", "--"], {"input": "--"}),
+    (["decide", "--", "--", "x"], "unrecognized arguments: x"),
+    (["decide", "--seed=--"], "argument --seed: invalid int value: '--'"),
+    (["reduce", "--from=--"], "argument --from: invalid choice: '--' "
+                              "(choose from '3part', 'partition', 'xcover')"),
+    (["decide", "--out=--"], {"out": "--"}),
+])
+def test_parser_takes_what_follows_dashes_as_written(argv, want, capsys):
+    # argparse strips one `--` from each argument's values: `decide -- --`
+    # read stdin, and `--seed=--` gave a seed of [], which crashed Rng
+    code, fields, _, err = parse_outcome(cli.build_parser().parse_args, argv,
+                                         capsys)
+    if isinstance(want, dict):
+        assert code is None and {f: fields[f] for f in want} == want
+    else:
+        assert code == 2 and err.splitlines()[-1] == f"spherical: error: {want}"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["decide", "--seed", "12345"], ("decide", 12345, None, False)),
+    (["solve", "--seed", "7"], ("solve", 7, None, False)),
+    (["decide", "--force-oracle"], ("decide", 0, None, True)),
+    (["solve", "--force-oracle"], ("solve", 0, None, True)),
+    (["reduce", "--from", "3part"], ("reduce", 0, "3part", False)),
+    (["reduce", "--from", "partition"], ("reduce", 0, "partition", False)),
+    (["reduce", "--from", "xcover"], ("reduce", 0, "xcover", False)),
+    (["verify"], ("verify", 0, None, False)),
+    (["saturation"], ("saturation", 0, None, False)),
+])
+def test_parser_serves_the_benchmark_argv(argv, want):
+    # perfbench's traced run calls build_parser().parse_args(argv) and reads
+    # these fields, as main does
+    args = cli.build_parser().parse_args(argv)
+    assert (args.verb, args.seed, args.reduction, args.force_oracle) == want
+    assert args.input is None and args.out is None
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_import_leaves_argparse_out():
+    proc = _python(["-c", "import sys, spherical.cli; "
+                    "print('argparse' in sys.modules)"], {}, flags=["-S"])
+    assert proc.returncode == 0 and proc.stdout == b"False\n", proc.stderr

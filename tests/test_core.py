@@ -9,10 +9,19 @@ from spherical.core import (GroupSpec, SphericalEquation, Solution,
                             InputError, TooLargeError, CayleyTable,
                             conjugacy_classes, decide_cayley, solve_brute,
                             normalize, verify,
-                            saturation_length, direct_product,
+                            saturation_length,
                             signed_sum_signs)
 
 from conftest import q8_mul_table, cyclic_table
+
+
+def direct_product(a, b):
+    """Cayley table of the direct product of two enumerable groups."""
+    pairs = [(x, y) for x in a.elements() for y in b.elements()]
+    index = {pq: i for i, pq in enumerate(pairs)}
+    return GroupSpec("cayley", table=tuple(
+        tuple(index[(x1 * x2, y1 * y2)] for (x2, y2) in pairs)
+        for (x1, y1) in pairs))
 
 
 def spec_zn(n):

@@ -127,7 +127,7 @@ def check(argv, payload, want=None):
     try:
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse's; no argv here should raise it
+        except SystemExit as exc:  # the argv parser's; no argv here raises it
             code = exc.code
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
