@@ -4,9 +4,11 @@ Verbs: solve, decide, verify, reduce, oracle, saturation, classify.
 Input is JSON on stdin or from a positional path; output is a single JSON
 object on stdout, newline-terminated.  Exit status 0 means the computation
 completed (whatever the verdict), 2 an input error (InputError, or a payload
-that cannot be read as JSON), 3 a capacity error (TooLargeError), 4 internal
-retry exhaustion (RetryExhausted).  Any other exception is a bug, and ends
-in a traceback with status 1.
+that cannot be read as JSON), 3 a capacity error (TooLargeError), 4 when
+the GL(2,p) solver's weighted-trace scan runs past its budget
+(RetryExhausted).  Any other exception is a bug, and ends in a traceback
+with status 1.  No solver draws random numbers, so output depends on the
+input alone: --seed is parsed, for old callers, and ignored.
 """
 
 import json
@@ -80,17 +82,16 @@ def encode_equation(eq: SphericalEquation):
     return out
 
 
-def _route(eq, force_oracle, rng):
+def _route(eq, force_oracle):
     """(method name, decide function, solve function) for the equation."""
     if force_oracle:
         return "cayley-dp", core.decide_cayley, core.solve_brute
-    return FAMILIES[eq.group.family].route(eq, rng)
+    return FAMILIES[eq.group.family].route(eq)
 
 
 def _cmd_decide(args, payload):
     eq = decode_equation(payload)
-    rng = numtheory.Rng(args.seed)
-    method, decide, _ = _route(eq, args.force_oracle, rng)
+    method, decide, _ = _route(eq, args.force_oracle)
     return {"solvable": decide(eq), "method": method}
 
 
@@ -99,8 +100,7 @@ def _cmd_solve(args, payload):
     checks its witness before it returns it, so it is printed as verified."""
     eq = decode_equation(payload)
     oracle = args.verb == "oracle"
-    method, _, solve = _route(eq, args.force_oracle or oracle,
-                              numtheory.Rng(args.seed))
+    method, _, solve = _route(eq, args.force_oracle or oracle)
     sol = solve(eq)
     report = {"solvable": sol is not None,
               "method": "brute" if oracle else method}

@@ -3,7 +3,7 @@ a family apart from its kernels.
 
 A record holds the family's parameter check, its order, identity and
 element enumerator, the JSON codec of its elements, a membership test, and
-its route: route(eq, rng) gives (method name, decide, solve) for an
+its route: route(eq) gives (method name, decide, solve) for an
 equation over the family.  GroupSpec, the CLI codec and the CLI router look
 the record up by family name.
 """
@@ -29,7 +29,7 @@ Family = collections.namedtuple("Family", (
     "encode",    # encode(el) -> JSON object
     "contains",  # contains(spec, el) -> whether a decoded el lies in G,
                  # given what decode has checked (alternating: the parity)
-    "route",     # route(eq, rng) -> (method name, decide, solve)
+    "route",     # route(eq) -> (method name, decide, solve)
     "over_cap",  # over_cap(spec) -> |G| > CAP, shown without building |G|
 ), defaults=(lambda s: False,))
 
@@ -85,7 +85,7 @@ def _need_prime(spec):
 
 def _fixed(method, decide, solve):
     route = (method, decide, solve)
-    return lambda eq, rng: route
+    return lambda eq: route
 
 
 _oracle = _fixed("cayley-dp", core.decide_cayley, core.solve_brute)
@@ -186,14 +186,14 @@ def _decode_ut4(spec, obj):
     return UT4Element(spec.p, entries)
 
 
-def _gl2_route(eq, rng):
+def _gl2_route(eq):
     k = len(core.normalize(eq).constants)
     method = ("gl2-scalar" if k <= 1 else "gl2-k2-conjugacy" if k == 2
               else "gl2-k3-trace" if k == 3 else "gl2-k4-fold")
-    return method, mat2.decide_gl2, lambda e: mat2.solve_gl2(e, rng)
+    return method, mat2.decide_gl2, mat2.solve_gl2
 
 
-def _semidirect_route(eq, rng):
+def _semidirect_route(eq):
     method = ("semidirect-reflection" if semidirect.has_reflection(eq)
               else "semidirect-signvector")
     return method, semidirect.decide_signvector, semidirect.solve_signvector

@@ -1,7 +1,9 @@
-"""Exact arithmetic mod a prime and the randomized square-root style solvers.
+"""Exact arithmetic mod a prime: primality, Legendre symbols, square roots,
+and the weighted-trace solver behind GL(2,p)'s type-2 trace targets.
 
-Everything works on plain ints reduced into [0, p-1].  All randomness goes
-through an explicit Rng so that runs are reproducible from a seed.
+Everything works on plain ints reduced into [0, p-1], and nothing draws
+random numbers.  The seeded random source below is kept for callers
+outside the package that still build one.
 """
 
 import random
@@ -113,31 +115,13 @@ def sqrt_mod(c: int, p: int) -> int:
     return r
 
 
-def solve_bivariate(k: int, m: int, p: int, rng: Rng) -> tuple[int, int]:
-    """Find (x, y) with x^2 - k*y^2 = m mod p by sampling y until m + k*y^2
-    is a square."""
-    if p == 2:
-        raise ValueError("p must be odd")
-    k %= p
-    m %= p
-    if k == 0 or m == 0:
-        raise ValueError("k and m must be nonzero mod p")
-    if legendre(m, p) == 1:
-        return sqrt_mod(m, p), 0
-    for _ in range(_retry_budget(p)):
-        y = rng.residue(p)
-        rhs = (m + k * y * y) % p
-        if legendre(rhs, p) == 1 or rhs == 0:
-            return sqrt_mod(rhs, p), y
-    raise RetryExhausted("solve_bivariate exceeded the retry budget")
-
-
-def solve_weighted_trace(k: int, t: int, b: int, p: int, rng: Rng) -> tuple[int, int]:
+def solve_weighted_trace(k: int, t: int, b: int, p: int) -> tuple[int, int]:
     """Find u != 0 and x with u*b + (t - x^2)/u = k mod p, for t, b nonsquares.
 
-    Sample x until the discriminant k^2 - 4b(t - x^2) is a square, then read u
-    off the quadratic u^2*b - k*u + (t - x^2) = 0.  A zero root is rejected,
-    which cannot strand us: u = 0 forces t = x^2, impossible for nonsquare t.
+    Scan x = 0, 1, ... until the discriminant k^2 - 4b(t - x^2) is a square,
+    then read u off the quadratic u^2*b - k*u + (t - x^2) = 0.  Neither root
+    is 0, since their product (t - x^2)/b is not: t is a nonsquare.  About
+    half of all x work; the budget is not a proven bound.
     """
     if p < 3:
         raise ValueError("p must be an odd prime")
@@ -147,17 +131,8 @@ def solve_weighted_trace(k: int, t: int, b: int, p: int, rng: Rng) -> tuple[int,
     if legendre(t, p) != -1 or legendre(b, p) != -1:
         raise ValueError("t and b must be quadratic nonresidues")
     inv2b = pow(2 * b, p - 2, p)
-    if (k * k - 4 * b * t) % p == 0:
-        # the discriminant is 4b*x^2, a nonsquare for every x != 0, so x = 0
-        # is the only choice; the double root k/(2b) is nonzero since t is
-        return k * inv2b % p, 0
-    for _ in range(_retry_budget(p)):
-        x = rng.residue(p)
+    for x in range(_retry_budget(p)):
         disc = (k * k - 4 * b * (t - x * x)) % p
-        if legendre(disc, p) == -1:
-            continue
-        r = sqrt_mod(disc, p)
-        for u in ((k + r) * inv2b % p, (k - r) * inv2b % p):
-            if u != 0:
-                return u, x
+        if legendre(disc, p) != -1:
+            return (k + sqrt_mod(disc, p)) * inv2b % p, x
     raise RetryExhausted("solve_weighted_trace exceeded the retry budget")

@@ -22,7 +22,7 @@ from spherical.highdim import (HeisenbergElement, UT4Element,
 from spherical.mat2 import (Mat2, TYPE3, classify, discriminant, decide_gl2,
                             solve_gl2, decide_tl2, solve_tl2, trace_reachable,
                             trace_target)
-from spherical.numtheory import (Rng, legendre, sqrt_mod, solve_bivariate,
+from spherical.numtheory import (Rng, legendre, sqrt_mod,
                                  solve_weighted_trace)
 from spherical.perm import (Permutation, reduce_3partition,
                             reduce_3partition_an, certificate_to_solution,
@@ -182,7 +182,6 @@ def test_criterion_6_tl2():
 
 
 def test_criterion_7_trace_sets():
-    g = Rng(1)
     r = random.Random(1)
     p = 7
     spec = GroupSpec("gl2p", p=p)
@@ -202,7 +201,7 @@ def test_criterion_7_trace_sets():
             assert true_set(a, b) == set(range(p)), (a, b)
             for k in range(p):
                 assert trace_reachable(a, b, k)
-                z = trace_target(a, b, k, g)
+                z = trace_target(a, b, k)
                 assert (a * b.conj_by(z)).trace() == k
             done += 1
         done = 0
@@ -218,7 +217,7 @@ def test_criterion_7_trace_sets():
             assert true_set(a, b) == want, (a, b)
             for k in range(p):
                 assert trace_reachable(a, b, k) == (k in want)
-                z = trace_target(a, b, k, g)
+                z = trace_target(a, b, k)
                 assert (z is not None) == (k in want)
                 if z is not None:
                     assert (a * b.conj_by(z)).trace() == k
@@ -335,7 +334,6 @@ def test_criterion_12_number_theory():
     primes = [3, 5, 7, 101, 1009, 65537, 2**31 - 1, 2**61 - 1]
     with criterion(12, "number-theory kernels by substitution, 10^4 trials"):
         r = random.Random(5)
-        g = Rng(6)
         for i in range(10**4):
             p = primes[i % len(primes)]
             a = r.randrange(1, p)
@@ -345,23 +343,12 @@ def test_criterion_12_number_theory():
             root = sqrt_mod(sq, p)
             assert root * root % p == sq
             if i % 10 == 0:
-                k = r.randrange(1, p)
-                m = r.randrange(1, p)
-                x, y = solve_bivariate(k, m, p, g)
-                assert (x * x - k * y * y - m) % p == 0
                 t = b = None
                 while t is None or legendre(t, p) != -1:
                     t = r.randrange(1, p)
                 while b is None or legendre(b, p) != -1:
                     b = r.randrange(1, p)
                 kk = r.randrange(p)
-                u, x = solve_weighted_trace(kk, t, b, p, g)
+                u, x = solve_weighted_trace(kk, t, b, p)
                 assert u != 0
                 assert (u * b + (t - x * x) * pow(u, p - 2, p) - kk) % p == 0
-        # determinism under a fixed seed
-        p = 2**61 - 1
-        runs = []
-        for _ in range(2):
-            gg = Rng(42)
-            runs.append([solve_bivariate(11, 13, p, gg) for _ in range(50)])
-        assert runs[0] == runs[1]

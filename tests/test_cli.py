@@ -9,8 +9,10 @@ import sys
 
 import pytest
 
-from spherical import cli
+from spherical import cli, mat2
 from spherical.core import GroupSpec
+from spherical.families import FAMILIES
+from spherical.numtheory import legendre, solve_weighted_trace as weighted_trace
 
 
 def run(argv, payload=None, monkeypatch=None, capsys=None):
@@ -77,16 +79,54 @@ def test_solve_verify_roundtrip(monkeypatch, capsys):
     assert json.loads(out) == {"verified": True}
 
 
+def type2_rows(p, det):
+    """The companion matrix of the first x^2 - t x + det (t = 0, 1, ...)
+    with no root mod p: a type-2 constant."""
+    t = next(t for t in range(p) if legendre(t * t - 4 * det, p) == -1)
+    return [[0, -det % p], [1, t]]
+
+
+def gl2_corpus():
+    """GL(2,p) equations, p from 5 to 2^61 - 1, that each take a path the
+    solver once drew random numbers on: three type-2 constants (the
+    weighted-trace scan), and (C, -2 C^-1, X, Y), whose fold with no
+    conjugation has the scalar head -2 I, so a head trace is chosen."""
+    corpus = [gl2_eq(101, [[[3, 1], [4, 9]], [[2, 6], [5, 3]],
+                           [[9, 7], [9, 3]]])]
+    for p in (5, 7, 101, 2**61 - 1):
+        corpus.append(gl2_eq(p, [type2_rows(p, 2), type2_rows(p, 3),
+                                 type2_rows(p, pow(6, -1, p))]))
+        # C = [[1, 2], [3, 5]] has det -1, and 2 adj(C) = -2 C^-1
+        y_det = pow(2 * 2 * 3, -1, p)
+        corpus.append(gl2_eq(p, [[[1, 2], [3, 5]], [[10, -4], [-6, 2]],
+                                 type2_rows(p, 3), [[1, 1], [0, y_det]]]))
+    return corpus
+
+
 def test_seed_determinism(monkeypatch, capsys):
-    payload = gl2_eq(101, [[[3, 1], [4, 9]], [[2, 6], [5, 3]],
-                           [[9, 7], [9, 3]]])
-    outs = set()
-    for _ in range(3):
-        code, out = run(["solve", "--seed", "7"], payload, monkeypatch,
-                        capsys)
-        assert code == 0
-        outs.add(out)
-    assert len(outs) == 1
+    scans = []
+    monkeypatch.setattr(mat2, "solve_weighted_trace",
+                        lambda *a: scans.append(a) or weighted_trace(*a))
+    for payload in gl2_corpus():
+        outs = set()
+        for seed in range(21):
+            code, out = run(["solve", "--seed", str(seed)], payload,
+                            monkeypatch, capsys)
+            assert code == 0
+            outs.add(out)
+        assert len(outs) == 1
+        rep = json.loads(out)
+        assert not rep["solvable"] or rep["verified"]
+    assert scans
+
+
+def test_solve_is_the_same_under_python_O():
+    for payload in gl2_corpus():
+        procs = [_python(["-m", "spherical.cli", "solve"], payload,
+                         flags=flags) for flags in ((), ("-O",))]
+        assert procs[0].returncode == 0, procs[0].stderr
+        assert procs[0].stdout == procs[1].stdout
+        assert procs[1].returncode == 0 and procs[1].stderr == b""
 
 
 def test_out_flag(tmp_path, monkeypatch, capsys):
@@ -353,6 +393,27 @@ WITNESS_ROUTES = {
         "group": {"family": "symmetric", "n": 3},
         "constants": [{"images": [2, 3, 1]}, {"images": [3, 1, 2]}]}),
 }
+
+
+def test_no_route_builds_an_rng(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an Rng was built")
+    monkeypatch.setattr(cli.numtheory, "Rng", refuse)
+    payloads = {argv_payload[1]["group"]["family"]: argv_payload[1]
+                for argv_payload in WITNESS_ROUTES.values()}
+    payloads["gl2p"] = gl2_corpus()[-1]
+    payloads["sl2p"] = {"group": {"family": "sl2p", "p": 5},
+                        "constants": [{"rows": [[1, 1], [0, 1]]},
+                                      {"rows": [[1, 4], [0, 1]]}]}
+    payloads["alternating"] = {
+        "group": {"family": "alternating", "n": 4},
+        "constants": [{"images": [2, 3, 1, 4]}, {"images": [3, 1, 2, 4]}]}
+    assert sorted(payloads) == sorted(FAMILIES)
+    for family, payload in payloads.items():
+        for verb in ("decide", "solve"):
+            code, out = run([verb, "--seed", "3"], payload, monkeypatch,
+                            capsys)
+            assert code == 0 and json.loads(out)["solvable"], (family, verb)
 
 
 @pytest.mark.parametrize("method", sorted(WITNESS_ROUTES))

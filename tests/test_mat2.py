@@ -10,11 +10,7 @@ from spherical.mat2 import (Mat2, SCALAR, TYPE1, TYPE2, TYPE3, classify,
                             canonicalize, trace_reachable, trace_target,
                             type3_type3_solve, decide_tl2, solve_tl2,
                             decide_gl2, solve_gl2)
-from spherical.numtheory import Rng, legendre
-
-
-def rng():
-    return Rng(0)
+from spherical.numtheory import legendre
 
 
 def rand_inv(p, r):
@@ -36,7 +32,6 @@ def test_classify_examples():
 
 def test_classify_conjugation_invariant():
     r = random.Random(0)
-    g = rng()
     for p in (5, 7, 101):
         for _ in range(500):
             a = rand_inv(p, r)
@@ -83,7 +78,6 @@ def test_canonicalize():
 
 
 def test_trace_target_exhaustive_small():
-    g = rng()
     p = 5
     spec = GroupSpec("gl2p", p=p)
     els = spec.elements()
@@ -95,7 +89,7 @@ def test_trace_target_exhaustive_small():
         true_set = {(a * z.inverse() * b * z).trace() for z in els}
         for k in range(p):
             assert trace_reachable(a, b, k) == (k in true_set)
-            z = trace_target(a, b, k, g)
+            z = trace_target(a, b, k)
             assert (z is not None) == (k in true_set)
             if z is not None:
                 assert (a * b.conj_by(z)).trace() == k
@@ -103,22 +97,21 @@ def test_trace_target_exhaustive_small():
 
 def test_trace_target_type3_excluded_point():
     # B type3 with s=1; A with nonresidue discriminant mod 7
-    g = rng()
     b = Mat2(7, 1, 1, 0, 1)
     for a in (Mat2(7, 2, 1, 3, 3), Mat2(7, 0, 1, 3, 0), Mat2(7, 1, 3, 1, 2)):
         if legendre(discriminant(a), 7) != -1:
             continue
         excluded = a.trace() % 7  # s * tr(A) with s = 1
-        assert trace_target(a, b, excluded, g) is None
+        assert trace_target(a, b, excluded) is None
         for k in range(7):
             if k != excluded:
-                z = trace_target(a, b, k, g)
+                z = trace_target(a, b, k)
                 assert (a * b.conj_by(z)).trace() == k
 
 
 def test_trace_target_scalar_rejected():
     with pytest.raises(ValueError, match="trace target needs non-scalar"):
-        trace_target(Mat2(5, 2, 0, 0, 2), Mat2(5, 1, 1, 0, 1), 0, rng())
+        trace_target(Mat2(5, 2, 0, 0, 2), Mat2(5, 1, 1, 0, 1), 0)
 
 
 def test_type3_type3_solve_examples():
@@ -180,18 +173,16 @@ def test_tl2_two_nonzero_b_case():
 
 
 def test_gl2_examples():
-    g = rng()
     spec = GroupSpec("gl2p", p=7)
     c = Mat2(7, 1, 2, 3, 4)
     eq = SphericalEquation(spec, [c, c.inverse()])
     assert decide_gl2(eq)
-    assert verify(eq, solve_gl2(eq, g))
+    assert verify(eq, solve_gl2(eq))
     assert not decide_gl2(SphericalEquation(spec, [c]))
 
 
 def test_gl2_matches_oracle_gl23_sample():
     r = random.Random(5)
-    g = rng()
     spec = GroupSpec("gl2p", p=3)
     els = spec.elements()
     for _ in range(500):
@@ -201,12 +192,11 @@ def test_gl2_matches_oracle_gl23_sample():
         got = decide_gl2(eq)
         assert got == decide_cayley(eq), cs
         if got:
-            assert verify(eq, solve_gl2(eq, g))
+            assert verify(eq, solve_gl2(eq))
 
 
 def test_gl2_matches_oracle_gl25_random():
     r = random.Random(6)
-    g = rng()
     spec = GroupSpec("gl2p", p=5)
     els = spec.elements()
     for _ in range(400):
@@ -216,12 +206,11 @@ def test_gl2_matches_oracle_gl25_random():
         got = decide_gl2(eq)
         assert got == decide_cayley(eq), cs
         if got:
-            assert verify(eq, solve_gl2(eq, g))
+            assert verify(eq, solve_gl2(eq))
 
 
 def test_gl2_long_random_solves():
     r = random.Random(7)
-    g = rng()
     for p in (5, 7, 101, 1009):
         spec = GroupSpec("gl2p", p=p)
         for k in (2, 3, 4, 6, 8):
@@ -237,21 +226,19 @@ def test_gl2_long_random_solves():
                 cs.append(last)
                 eq = SphericalEquation(spec, cs)
                 if decide_gl2(eq):
-                    assert verify(eq, solve_gl2(eq, g))
+                    assert verify(eq, solve_gl2(eq))
 
 
 def test_sl2_routed_like_gl2():
-    g = rng()
     spec = GroupSpec("sl2p", p=7)
     c = Mat2(7, 1, 1, 0, 1)
     eq = SphericalEquation(spec, [c, c.inverse()])
     assert decide_gl2(eq)
-    assert verify(eq, solve_gl2(eq, g))
+    assert verify(eq, solve_gl2(eq))
 
 
 def test_gl2_with_rhs():
     r = random.Random(8)
-    g = rng()
     spec = GroupSpec("gl2p", p=11)
     for _ in range(200):
         k = r.randrange(1, 5)
@@ -259,4 +246,61 @@ def test_gl2_with_rhs():
         rhs = rand_inv(11, r)
         eq = SphericalEquation(spec, cs, rhs)
         if decide_gl2(eq):
-            assert verify(eq, solve_gl2(eq, g))
+            assert verify(eq, solve_gl2(eq))
+
+
+def class_reps(p):
+    """The canonical representative of every non-scalar GL(2,p) class:
+    one for each (trace, det), read off the companion matrix."""
+    return [canonicalize(Mat2(p, 0, -d, 1, t))[0]
+            for t in range(p) for d in range(1, p)]
+
+
+def test_gl2_fold_gl25_exhaustive():
+    # every ordered 4-tuple of non-scalar class representatives with det
+    # product 1 (20^4 / 4 of them); k = 4 is always solvable, and where the
+    # fold with no conjugation has a scalar head or an unsolvable triple,
+    # the solver must find a head trace t instead
+    p = 5
+    spec = GroupSpec("gl2p", p=p)
+    reps = class_reps(p)
+    chosen = total = 0
+    for c1, c2, c3 in itertools.product(reps, repeat=3):
+        head = c1 * c2
+        det = head.det() * c3.det() % p
+        for c4 in reps:
+            if det * c4.det() % p != 1:
+                continue
+            eq = SphericalEquation(spec, [c1, c2, c3, c4])
+            assert decide_gl2(eq)
+            assert verify(eq, solve_gl2(eq)), (c1, c2, c3, c4)
+            total += 1
+            chosen += head.is_scalar() or not decide_gl2(
+                SphericalEquation(spec, [head, c3, c4]))
+    assert total == 40000 and chosen > 0
+
+
+def test_gl2_fold_past_a_scalar_prefix_gl27():
+    # (C, lam C^-1, X, Y): the first fold with no conjugation is lam I, for
+    # every non-scalar class C and scalar lam; X and Y run over one
+    # representative per (det, type), type-3 and type-2 among them.  With
+    # the det-1 constant E between them, that fold is not the last one
+    p = 7
+    spec = GroupSpec("gl2p", p=p)
+    reps = class_reps(p)
+    by_det_type = {}
+    for rep in reps:
+        by_det_type.setdefault((rep.det(), classify(rep)), rep)
+    for c in reps:
+        for lam in range(1, p):
+            c2 = Mat2(p, lam, 0, 0, lam) * c.inverse()
+            for x in by_det_type.values():
+                need = pow(lam * lam * x.det(), -1, p)
+                for y in (by_det_type.get((need, kind))
+                          for kind in (TYPE1, TYPE2, TYPE3)):
+                    if y is None:
+                        continue
+                    for mid in ([], [Mat2(p, 1, 1, 0, 1)]):
+                        cs = [c, c2, *mid, x, y]
+                        eq = SphericalEquation(spec, cs)
+                        assert verify(eq, solve_gl2(eq)), cs

@@ -102,26 +102,14 @@ def test_sqrt_mod_random():
             assert r * r % p == c
 
 
-def test_solve_bivariate_examples():
-    rng = nt.Rng(0)
-    for k, m, p in ((3, 1, 7), (3, 2, 7), (5, 3, 13)):
-        x, y = nt.solve_bivariate(k, m, p, rng)
-        assert (x * x - k * y * y) % p == m % p
-    with pytest.raises(ValueError, match="k and m must be nonzero"):
-        nt.solve_bivariate(0, 1, 7, rng)
-    with pytest.raises(ValueError, match="p must be odd"):
-        nt.solve_bivariate(1, 1, 2, rng)
-
-
 def test_solve_weighted_trace_examples():
-    rng = nt.Rng(0)
     # t and b must be nonresidues
     for k, t, b, p in ((6, 3, 3, 7), (0, 3, 3, 7), (5, 5, 6, 13)):
-        u, x = nt.solve_weighted_trace(k, t, b, p, rng)
+        u, x = nt.solve_weighted_trace(k, t, b, p)
         inv = pow(u, -1, p)
         assert (u * b + inv * t - inv * x * x) % p == k % p
     with pytest.raises(ValueError, match="must be quadratic nonresidues"):
-        nt.solve_weighted_trace(1, 4, 3, 7, rng)  # 4 is a residue
+        nt.solve_weighted_trace(1, 4, 3, 7)  # 4 is a residue
 
 
 def test_randomized_solvers_random_inputs():
@@ -131,15 +119,11 @@ def test_randomized_solvers_random_inputs():
             continue
         nonres = nt.smallest_nonresidue(p)
         for _ in range(100):
-            k = 1 + rng.residue(p - 1)
-            m = 1 + rng.residue(p - 1)
-            x, y = nt.solve_bivariate(k, m, p, rng)
-            assert (x * x - k * y * y) % p == m
             # scale the fixed nonresidue by random squares for variety
             t = nonres * pow(1 + rng.residue(p - 1), 2, p) % p
             b = nonres * pow(1 + rng.residue(p - 1), 2, p) % p
             kk = rng.residue(p)
-            u, xx = nt.solve_weighted_trace(kk, t, b, p, rng)
+            u, xx = nt.solve_weighted_trace(kk, t, b, p)
             inv = pow(u, -1, p)
             assert u and (u * b + inv * t - inv * xx * xx) % p == kk
 
