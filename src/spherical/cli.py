@@ -4,11 +4,11 @@ Verbs: solve, decide, verify, reduce, oracle, saturation, classify.
 Input is JSON on stdin or from a positional path; output is a single JSON
 object on stdout, newline-terminated.  Exit status 0 means the computation
 completed (whatever the verdict), 2 an input error (InputError, or a payload
-that cannot be read as JSON), 3 a capacity error (TooLargeError), 4 when
-the GL(2,p) solver's weighted-trace scan runs past its budget
-(RetryExhausted).  Any other exception is a bug, and ends in a traceback
-with status 1.  No solver draws random numbers, so output depends on the
-input alone: --seed is parsed, for old callers, and ignored.
+that cannot be read as JSON), 3 a capacity error (TooLargeError: a group
+past the oracle's cap, or any other work past its budget).  Any other
+exception is a bug, and ends in a traceback with status 1.  No solver draws
+random numbers, so output depends on the input alone: --seed is parsed, for
+old callers, and ignored.
 """
 
 import json
@@ -24,7 +24,6 @@ from .families import FAMILIES, _field, outside
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
-EXIT_RETRY = 4
 
 
 def decode_group(obj) -> GroupSpec:
@@ -342,9 +341,6 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except numtheory.RetryExhausted as exc:
-        print(f"retry exhausted: {exc}", file=sys.stderr)
-        return EXIT_RETRY
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -298,8 +298,15 @@ def reinflate(eq: SphericalEquation, zs) -> Solution:
 
 
 def checked(eq: SphericalEquation, sol: Solution) -> Solution:
-    """sol, once verify accepts it: an explicit raise, which python -O
-    keeps, so no solver can emit a wrong witness."""
+    """sol, once every conjugator lies in the declared group and verify
+    accepts it: explicit raises, which python -O keeps, so no solver can
+    emit a wrong witness.  Membership is the family's contains, which for
+    alternating checks only the degree: its decoder checks the parity."""
+    spec = eq.group
+    contains = spec._family.contains
+    for z in sol.conjugators:
+        if not contains(spec, z):
+            raise RuntimeError(f"witness {z!r} lies outside the group")
     if not verify(eq, sol):
         raise RuntimeError("witness fails verification")
     return sol

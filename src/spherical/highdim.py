@@ -4,7 +4,9 @@ UT(4,p): closed-form solvability criteria and explicit conjugators.
 Both families conjugate nicely entry-by-entry, so a product of conjugates
 X C X^-1 has every entry given by an explicit polynomial in the entries of
 the X_i and C_i.  Deciding solvability reduces to a handful of linear (or,
-for UT(4,p), one bilinear) equations over Z_p.
+for UT(4,p), one bilinear) equations over Z_p, each solved by a written-down
+rule: one nonzero coefficient, or a 2x2 Cramer's rule, with no general
+linear solver.
 """
 
 from .core import SphericalEquation, normalize, reinflate
@@ -102,37 +104,6 @@ class UT4Element:
         return f"U{self.e}"
 
 
-def linsolve_modp(rows, rhs, nvars, p):
-    """One solution of a linear system over Z_p by Gaussian elimination,
-    or None.  rows are dicts {var_index: coefficient}."""
-    aug = [[row.get(j, 0) % p for j in range(nvars)] + [b % p]
-           for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(nvars):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][nvars]:
-            return None
-    sol = [0] * nvars
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][nvars]
-    return sol
-
-
 def _prepare(eq: SphericalEquation, family, cls):
     if eq.group.family != family:
         raise ValueError(f"expected a {family} equation")
@@ -221,18 +192,26 @@ def solve_ut4(eq: SphericalEquation):
     With X_i = [[1,x,w,u],[0,1,z,v],[0,0,1,y],[0,0,0,1]] the product of the
     conjugates is the identity iff the constants' corner entries (1), (4),
     (6) sum to zero and three polynomial equations in the x,y,z,v,w hold:
-    two linear ones for entries (2) and (5), and one for entry (3) that is
-    linear in v, w and bilinear in the x_i, y_j.
+    two linear ones for entries (2) and (5),
 
-    If some c1 or c6 is nonzero, a v_i or w_i clears entry (3) after a
-    linear solve.  Otherwise X_i = (x_i, 0, 0, 0, 0, y_i) suffice: then
-    X C X^-1 = (0, c2 + x c4, c3 + x c5 - y c2 - x y c4, c4, c5 - y c4, 0)
-    and such elements multiply by adding entries, so the equation is
-    sum c4_i x_i = -sum c2, sum c4_i y_i = sum c5 and
-    F = sum(c3_i + c5_i x_i - c2_i y_i - c4_i x_i y_i) = 0.  Both sums go
-    on the first t with c4_t != 0; what is left of F goes to an x_j or y_j
-    with c4_j = 0, else to a shift along two more indices with c4 != 0.
-    With neither, F is constant there and the equation is unsolvable.
+        sum(c4_i x_i - c1_i z_i) = r2,  sum(c6_i z_i - c4_i y_i) = r5,
+
+    with r2 = -sum(c2_i + a1_i c4_i), r5 = -sum(c5_i + a4_i c6_i) and a1_i,
+    a4_i the sums of c1, c4 over the constants before i; and one for entry
+    (3) that is linear in v, w and bilinear in the x_i, y_j.  If some c4_t
+    is nonzero, x_t = r2/c4_t and y_t = -r5/c4_t solve both.  If every c4
+    is 0, they read sum z_i u_i = (r2, r5) with u_i = (-c1_i, c6_i): two
+    independent u_s, u_j give z_s, z_j by Cramer's rule, and with every u_i
+    on the line of u_s the equation is solvable iff (r2, r5) is on it too.
+
+    If some c1 or c6 is nonzero, a v_i or w_i then clears entry (3).
+    Otherwise X_i = (x_i, 0, 0, 0, 0, y_i) suffice: X C X^-1 = (0,
+    c2 + x c4, c3 + x c5 - y c2 - x y c4, c4, c5 - y c4, 0) and such
+    elements multiply by adding entries, so entry (3) is F = sum(c3_i +
+    c5_i x_i - c2_i y_i - c4_i x_i y_i).  What is left of F goes to an x_j
+    or y_j with c4_j = 0, else to a shift along two more indices with
+    c4 != 0.  With neither, F is constant on the solutions of the two
+    sums, and the equation is unsolvable.
     """
     eqn = _prepare(eq, "ut4p", UT4Element)
     cs = eqn.constants
@@ -243,70 +222,64 @@ def solve_ut4(eq: SphericalEquation):
     c1, c2, c3, c4, c5, c6 = (tuple(c.e[j] for c in cs) for j in range(6))
     if sum(c1) % p or sum(c4) % p or sum(c6) % p:
         return None
-    # prefix sums a^(1), a^(4) of the partial products are constants
-    a1pre = [0] * k
-    a4pre = [0] * k
-    for i in range(1, k):
-        a1pre[i] = (a1pre[i - 1] + c1[i - 1]) % p
-        a4pre[i] = (a4pre[i - 1] + c4[i - 1]) % p
+    r2 = r5 = a1 = a4 = 0
+    for i in range(k):
+        r2 -= c2[i] + a1 * c4[i]
+        r5 -= c5[i] + a4 * c6[i]
+        a1 += c1[i]
+        a4 += c4[i]
+    r2 %= p
+    r5 %= p
+    xv, yv, zv, vv, wv = ([0] * k for _ in range(5))
+    outer = any(c1) or any(c6)
+    S = [i for i in range(k) if c4[i]]
+    if S:
+        t = S[0]
+        inv_t = pow(c4[t], -1, p)
+        xv[t] = r2 * inv_t % p
+        yv[t] = -r5 * inv_t % p
+    elif outer:
+        u = [(-c1[i] % p, c6[i]) for i in range(k)]
+        s = next(i for i in range(k) if any(u[i]))
+        a, b = u[s]
+        j = next((j for j in range(k) if (a * u[j][1] - b * u[j][0]) % p),
+                 None)
+        if j is not None:
+            c, d = u[j]
+            inv = pow(a * d - b * c, -1, p)
+            zv[s] = (r2 * d - r5 * c) * inv % p
+            zv[j] = (a * r5 - b * r2) * inv % p
+        elif (a * r5 - b * r2) % p:
+            return None
+        else:
+            zv[s] = (r2 * pow(a, -1, p) if a else r5 * pow(b, -1, p)) % p
+    elif r2 or r5:
+        return None
 
-    def build(xv, zv, yv, vv=None, wv=None):
-        vv = vv or [0] * k
-        wv = wv or [0] * k
+    def build():
         return [UT4Element(p, (xv[i], wv[i], 0, zv[i], vv[i], yv[i]))
                 for i in range(k)]
 
-    def finish(xs):
-        return reinflate(eq, [x.inverse() for x in xs])
-
-    if any(c1) or any(c6):
-        # entries (2) and (5) give a linear system in x_i, z_i, y_i; any
-        # residue in entry (3) is then cleared through a v_i or w_i, which
-        # appear linearly there and nowhere else
-        rows = [{}, {}]
-        for i in range(k):
-            rows[0][i] = c4[i]
-            rows[0][k + i] = -c1[i] % p
-            rows[1][k + i] = c6[i]
-            rows[1][2 * k + i] = -c4[i] % p
-        rhs = [-sum(c2[i] + a1pre[i] * c4[i] for i in range(k)),
-               -sum(c5[i] + a4pre[i] * c6[i] for i in range(k))]
-        sol = linsolve_modp(rows, rhs, 3 * k, p)
-        if sol is None:
-            return None
-        xv, zv, yv = sol[:k], sol[k:2 * k], sol[2 * k:]
-        r = _ut4_conjugates(cs, build(xv, zv, yv)).e[2]
-        vv = [0] * k
-        wv = [0] * k
+    if outer:
+        # v_i and w_i appear in entry (3) linearly and nowhere else
+        r = _ut4_conjugates(cs, build()).e[2]
         i0 = next((i for i in range(k) if c1[i]), None)
         if i0 is not None:
             vv[i0] = r * pow(c1[i0], -1, p)
         else:
             i0 = next(i for i in range(k) if c6[i])
             wv[i0] = -r * pow(c6[i0], -1, p)
-        return finish(build(xv, zv, yv, vv, wv))
+        return reinflate(eq, [x.inverse() for x in build()])
 
-    # every c1 and c6 is 0: the written-down form above
-    a = -sum(c2) % p
-    b = sum(c5) % p
-    xv = [0] * k
-    yv = [0] * k
-    S = [i for i in range(k) if c4[i]]
-    if S:
-        t = S[0]
-        inv_t = pow(c4[t], -1, p)
-        xv[t] = a * inv_t % p
-        yv[t] = b * inv_t % p
-    elif a or b:
-        return None
+    # every c1 and c6 is 0: entry (3) is F
     r = sum(c3[i] + c5[i] * xv[i] - c2[i] * yv[i] - c4[i] * xv[i] * yv[i]
             for i in range(k)) % p
-    if not r:
-        return finish(build(xv, [0] * k, yv))
     # a variable outside S appears in F alone and linearly
     j5 = next((j for j in range(k) if c5[j] and not c4[j]), None)
     j2 = next((j for j in range(k) if c2[j] and not c4[j]), None)
-    if j5 is not None:
+    if not r:
+        pass
+    elif j5 is not None:
         xv[j5] = -r * pow(c5[j5], -1, p) % p
     elif j2 is not None:
         yv[j2] = r * pow(c2[j2], -1, p) % p
@@ -326,7 +299,7 @@ def solve_ut4(eq: SphericalEquation):
         yv[u] = mu * inv_u
         yv[t] -= mu * inv_t
     else:
-        # S = {t, s}: F is the constant sum(c3_i - c2_i c5_i / c4_i) on the
-        # solutions of the two sums, and it is r != 0
+        # S is empty or {t, s}, and c2_j = c5_j = 0 off S: F is constant on
+        # the solutions of the two sums, and it is r != 0
         return None
-    return finish(build(xv, [0] * k, yv))
+    return reinflate(eq, [x.inverse() for x in build()])

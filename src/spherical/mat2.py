@@ -226,19 +226,9 @@ def _tt_against_type3(A: Mat2, J: Mat2, k: int):
 
 
 def trace_reachable(A: Mat2, B: Mat2, k: int) -> bool:
-    """Deterministic membership test k in T(A,B) = tr{A B^Z}."""
-    ta, tb = classify(A), classify(B)
-    if SCALAR in (ta, tb):
-        raise ValueError("trace set needs non-scalar matrices")
-    if TYPE3 not in (ta, tb):
-        return True
-    if tb != TYPE3:
-        A, B = B, A
-        ta, tb = tb, ta
-    s = B.trace() * pow(2, B.p - 2, B.p) % B.p
-    if k % B.p != s * A.trace() % B.p:
-        return True
-    return legendre(discriminant(A), A.p) != -1
+    """Whether k lies in T(A,B) = tr{A B^Z}: every k does, except the one
+    that _tt_against_type3 excludes."""
+    return trace_target(A, B, k) is not None
 
 
 def trace_target(A: Mat2, B: Mat2, k: int):
@@ -416,7 +406,9 @@ def decide_gl2(eq: SphericalEquation) -> bool:
     n3 = types.count(TYPE3)
     if n3 in (0, 3):
         return True
-    # put a non-type-3 constant in the target slot, test trace reachability
+    # put a non-type-3 constant in the target slot, test trace reachability;
+    # a type-3 constant is left in the pair, so trace_target takes its
+    # type-1 or type-3 branch
     i3 = next(i for i in range(3) if types[i] != TYPE3)
     rest = [i for i in range(3) if i != i3]
     A, B = cs[rest[0]], cs[rest[1]]

@@ -2,15 +2,15 @@
 and the weighted-trace solver behind GL(2,p)'s type-2 trace targets.
 
 Everything works on plain ints reduced into [0, p-1], and nothing draws
-random numbers.  The seeded random source below is kept for callers
-outside the package that still build one.
+random numbers.  The weighted-trace scan has a budget, which a point count
+shows it cannot exhaust for p < 1409; past it, it raises TooLargeError, a
+capacity error like every other budget's.  The seeded random source below
+is kept for callers outside the package that still build one.
 """
 
 import random
 
-
-class RetryExhausted(RuntimeError):
-    pass
+from .core import TooLargeError
 
 
 class Rng:
@@ -58,7 +58,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _retry_budget(p: int) -> int:
+def _scan_budget(p: int) -> int:
     return 64 * max(1, p.bit_length())
 
 
@@ -120,8 +120,13 @@ def solve_weighted_trace(k: int, t: int, b: int, p: int) -> tuple[int, int]:
 
     Scan x = 0, 1, ... until the discriminant k^2 - 4b(t - x^2) is a square,
     then read u off the quadratic u^2*b - k*u + (t - x^2) = 0.  Neither root
-    is 0, since their product (t - x^2)/b is not: t is a nonsquare.  About
-    half of all x work; the budget is not a proven bound.
+    is 0, since their product (t - x^2)/b is not: t is a nonsquare.
+
+    The count: if k^2 = 4bt, x = 0 works.  Otherwise the conic
+    y^2 = D + 4b x^2, with D = k^2 - 4bt != 0 and 4b a nonsquare, has p + 1
+    points, so at most (p - 1)/2 residues x fail.  The scan's budget
+    64 bitlen(p) is above that for p < 1409, where it cannot run out; past
+    it the scan raises TooLargeError.
     """
     if p < 3:
         raise ValueError("p must be an odd prime")
@@ -131,8 +136,9 @@ def solve_weighted_trace(k: int, t: int, b: int, p: int) -> tuple[int, int]:
     if legendre(t, p) != -1 or legendre(b, p) != -1:
         raise ValueError("t and b must be quadratic nonresidues")
     inv2b = pow(2 * b, p - 2, p)
-    for x in range(_retry_budget(p)):
+    for x in range(_scan_budget(p)):
         disc = (k * k - 4 * b * (t - x * x)) % p
         if legendre(disc, p) != -1:
             return (k + sqrt_mod(disc, p)) * inv2b % p, x
-    raise RetryExhausted("solve_weighted_trace exceeded the retry budget")
+    raise TooLargeError(f"weighted-trace scan: no square discriminant in "
+                        f"{_scan_budget(p)} steps")

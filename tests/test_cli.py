@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from spherical import cli, mat2
+from spherical import cli, mat2, numtheory
 from spherical.core import GroupSpec
 from spherical.families import FAMILIES
 from spherical.numtheory import legendre, solve_weighted_trace as weighted_trace
@@ -275,6 +275,12 @@ def test_exit_code_capacity(monkeypatch, capsys):
     code, _ = run(["decide"], {"group": {"family": "symmetric", "n": 2000},
                                "constants": []}, monkeypatch, capsys)
     assert code == 3
+    # the weighted-trace scan's budget is a capacity bound like the others
+    monkeypatch.setattr(numtheory, "_scan_budget", lambda p: 0)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(gl2_corpus()[1])))
+    assert cli.main(["solve"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("capacity error: weighted-trace")
 
 
 def test_sl2p_answers_stay_in_sl2p(monkeypatch, capsys):

@@ -11,6 +11,7 @@ from spherical.core import (GroupSpec, SphericalEquation, Solution,
                             normalize, verify,
                             saturation_length,
                             signed_sum_signs)
+from spherical.mat2 import Mat2
 
 from conftest import q8_mul_table, cyclic_table
 
@@ -198,6 +199,19 @@ def test_verify_negative(q8_spec):
     assert not verify(eq, Solution([q8_spec.identity()]))
     with pytest.raises(InputError, match="0 conjugators for 1 constants"):
         verify(eq, Solution([]))
+
+
+def test_checked_refuses_a_conjugator_outside_the_group():
+    # diag(2,1) commutes with both constants, so the product checks out,
+    # but its det is 2: it lies in GL(2,5) and not in SL(2,5)
+    spec = GroupSpec("sl2p", p=5)
+    eq = SphericalEquation(spec, [Mat2(5, 2, 0, 0, 3), Mat2(5, 3, 0, 0, 2)])
+    z = Mat2(5, 2, 0, 0, 1)
+    assert verify(eq, Solution([z, z]))
+    with pytest.raises(RuntimeError, match="outside the group"):
+        core.checked(eq, Solution([z, z]))
+    ident = spec.identity()
+    assert core.checked(eq, Solution([ident, ident]))
 
 
 def test_normalize_preserves_verdict(q8_spec):

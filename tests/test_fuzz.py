@@ -1,5 +1,5 @@
-"""Every payload, well formed or not, ends in exit 0, 2, 3 or 4: never a
-traceback, and on 2, 3 or 4 one line on stderr and nothing on stdout."""
+"""Every payload, well formed or not, ends in exit 0, 2 or 3: never a
+traceback, and on 2 or 3 one line on stderr and nothing on stdout."""
 
 import io
 import json
@@ -14,7 +14,7 @@ VERBS = [["decide"], ["decide", "--force-oracle"], ["solve"], ["verify"],
          ["reduce", "--from", "3part"], ["reduce", "--from", "partition"],
          ["reduce", "--from", "xcover"]]
 
-PREFIX = {2: "input error: ", 3: "capacity error: ", 4: "retry exhausted: "}
+PREFIX = {2: "input error: ", 3: "capacity error: "}
 
 # the field names and families the decoders look for, so that arbitrary
 # JSON gets past the first lookup often enough to reach the later ones
@@ -132,7 +132,7 @@ def check(argv, payload, want=None):
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
     out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 2, 3, 4), (argv, payload, code, err)
+    assert code in (0, 2, 3), (argv, payload, code, err)
     assert want in (None, code), (argv, payload, code, err)
     if code == 0:
         assert out.count("\n") == 1 and json.loads(out), (argv, payload)

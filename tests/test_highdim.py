@@ -5,8 +5,7 @@ from spherical.core import (GroupSpec, SphericalEquation, decide_cayley,
                             solve_brute, verify)
 from spherical.highdim import (HeisenbergElement, UT4Element,
                                decide_heisenberg,
-                               solve_heisenberg, decide_ut4, solve_ut4,
-                               linsolve_modp)
+                               solve_heisenberg, decide_ut4, solve_ut4)
 
 
 def rand_heis(r, n, p):
@@ -126,14 +125,6 @@ def test_heisenberg_random_large():
         assert solved > 0
 
 
-def test_linsolve_modp():
-    sol = linsolve_modp([{0: 1, 1: 1}, {0: 1, 1: -1}], [0, 2], 2, 5)
-    x, y = sol
-    assert (x + y) % 5 == 0 and (x - y) % 5 == 2
-    assert linsolve_modp([{}], [1], 2, 5) is None
-    assert linsolve_modp([], [], 0, 5) == []
-
-
 def _conjugates(cs, xs):
     prod = None
     for x, c in zip(xs, cs):
@@ -205,6 +196,24 @@ def test_ut4_matches_oracle_sampled_p3():
         assert (sol is not None) == decide_cayley(eq), cs
         if sol is not None:
             assert verify(eq, sol)
+    # every c4 = 0 and every (c1, c6) on one line through 0: entries (2)
+    # and (5) then ask whether (r2, r5) lies on that line too
+    verdicts = set()
+    for trial in range(1000):
+        k = r.randrange(2, 6)
+        a, b = r.choice([(1, 0), (0, 1), (1, 1), (1, 2)])
+        lam = [r.randrange(3) for _ in range(k - 1)]
+        lam.append(-sum(lam) % 3 if trial % 4 else r.randrange(1, 3))
+        cs = [UT4Element(3, (l * a, r.randrange(3), r.randrange(3), 0,
+                             r.randrange(3), l * b)) for l in lam]
+        eq = SphericalEquation(spec, cs)
+        sol = solve_ut4(eq)
+        assert (sol is not None) == decide_cayley(eq), cs
+        if sol is not None:
+            assert verify(eq, sol)
+        if any(lam) and not sum(lam) % 3:
+            verdicts.add(sol is not None)
+    assert verdicts == {True, False}
 
 
 def test_ut4_inner_cases():

@@ -256,6 +256,19 @@ def class_reps(p):
             for t in range(p) for d in range(1, p)]
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_gl2_decide_matches_oracle_on_class_tuples(p):
+    # every ordered triple and every 4-multiset of class representatives,
+    # scalars included
+    spec = GroupSpec("gl2p", p=p)
+    reps = class_reps(p) + [Mat2(p, lam, 0, 0, lam) for lam in range(1, p)]
+    assert len(reps) == p * p - 1
+    for cs in itertools.chain(itertools.product(reps, repeat=3),
+                              itertools.combinations_with_replacement(reps, 4)):
+        eq = SphericalEquation(spec, list(cs))
+        assert decide_gl2(eq) == decide_cayley(eq), cs
+
+
 def test_gl2_fold_gl25_exhaustive():
     # every ordered 4-tuple of non-scalar class representatives with det
     # product 1 (20^4 / 4 of them); k = 4 is always solvable, and where the
