@@ -16,7 +16,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import core, dihedral, mat2, numtheory, perm, semidirect
+from . import core, dihedral, mat2, perm, semidirect
 from .core import (GroupSpec, SphericalEquation, Solution, InputError,
                    TooLargeError)
 from .families import FAMILIES, _field, outside

@@ -8,8 +8,11 @@ when conjugators z_i exist with prod_i z_i^-1 c_i z_i = 1 (or = rhs).
 import random
 
 CAP = 10**4
-# the most vectors a meet-in-the-middle signed-sum search takes
+# the most free vectors a meet-in-the-middle signed-sum search takes
 SIGN_CAP = 32
+# the most bits one half of that search may hold: 2^ceil(count/2) sums of
+# dim fields of bits(m) + 1 bits each (scripts/signed_sum_sweep.py)
+SIGN_BUDGET = 1 << 30
 
 
 class InputError(ValueError):
@@ -485,17 +488,118 @@ def signed_sum_signs(vecs, target, m):
     One coordinate modulo a small m runs a bitset DP, costing count * m / 64
     machine words; anything else runs a meet in the middle, costing about
     2^(count/2) dict steps.  So the bitset runs when 2^(count/2) * 64 >= m,
-    and while its count * m bits stay within CAP^2; the meet in the middle
-    takes at most SIGN_CAP vectors, or TooLargeError.
+    and while its count * m bits stay within CAP^2.
+
+    With more than one coordinate, _presolve first fixes every sign that a
+    coordinate touched by one vector forces, and the meet in the middle
+    runs on the free vectors alone, over the coordinates still open.  In
+    one coordinate it could fix only a lone vector, so it does not run.
+    The meet in the middle takes at most SIGN_CAP free vectors and
+    SIGN_BUDGET bits per half, or TooLargeError.
     """
-    count = len(vecs)
-    if len(target) == 1 and 4096 << count >= m * m and count * m <= CAP * CAP:
-        return _bitset_signs([v for v, in vecs], target[0], m)
+    if len(target) == 1:
+        count = len(vecs)
+        if 4096 << count >= m * m and count * m <= CAP * CAP:
+            return _bitset_signs([v for v, in vecs], target[0], m)
+        _check_search_size(count, 1, m)
+        return _meet_in_the_middle(vecs, target, m)
+    found = _presolve(vecs, target, m)
+    if found is None:
+        return None
+    signs, free, rest, rest_target = found
+    if free:
+        _check_search_size(len(free), len(rest_target), m)
+        part = _meet_in_the_middle(rest, rest_target, m)
+        if part is None:
+            return None
+        for i, e in zip(free, part):
+            signs[i] = e
+    return tuple(signs)
+
+
+def _check_search_size(count, dim, m):
+    """TooLargeError when a meet in the middle over count vectors of dim
+    coordinates passes SIGN_CAP vectors or SIGN_BUDGET bits per half."""
     if count > SIGN_CAP:
         # no m in the message: str() refuses ints past 4300 digits
         raise TooLargeError(
             f"{count} constants are too many for a signed-sum search")
-    return _meet_in_the_middle(vecs, target, m)
+    if (1 << (count + 1) // 2) * dim * (m.bit_length() + 1) > SIGN_BUDGET:
+        raise TooLargeError(
+            f"a signed-sum search over {count} constants in {dim} "
+            f"coordinates is too large")
+
+
+def _presolve(vecs, target, m):
+    """The signs that single coordinates force, as (signs, free, rest,
+    rest_target), or None when some coordinate has no solution.
+
+    A coordinate that no live vector touches (entry 0 mod m) needs target
+    0 there.  One that a single live vector touches, with entry a, needs
+    e a = t there: 2a = 0 fixes nothing but needs t = a, and otherwise
+    t = a fixes e = 1, t = -a fixes e = -1 and any other t has no sign.
+    A fixed vector leaves the live set with its sum subtracted from the
+    target, which may leave another coordinate with one live vector, so
+    the rule runs until no coordinate qualifies.
+
+    signs[i] is the fixed sign, or 0 for vector i still free.  free lists
+    the free vectors that touch an open coordinate; rest holds them
+    restricted to the open coordinates, and rest_target is the target
+    there.  A free vector that touches no open coordinate takes sign 1.
+    """
+    dim = len(target)
+    target = [t % m for t in target]
+    signs = [0] * len(vecs)
+    if vecs:
+        users = [[i for i, x in enumerate(col) if x % m]
+                 for col in zip(*vecs)]
+    else:
+        users = [[]] * dim
+    live = [len(u) for u in users]
+    is_open = [True] * dim
+    queue = [j for j in range(dim) if live[j] < 2]
+    while queue:
+        j = queue.pop()
+        if not is_open[j]:
+            continue
+        is_open[j] = False
+        t = target[j]
+        if not live[j]:
+            if t:
+                return None
+            continue
+        for i in users[j]:
+            if not signs[i]:
+                break
+        a = vecs[i][j] % m
+        if t == a:
+            e = 1
+        elif t == m - a:
+            e = -1
+        else:
+            return None
+        if a == m - a:
+            # 2a = 0: both signs give a, so the coordinate holds either way
+            continue
+        signs[i] = e
+        for k, x in enumerate(vecs[i]):
+            if x % m:
+                target[k] = (target[k] - e * x) % m
+                live[k] -= 1
+                if live[k] < 2 and is_open[k]:
+                    queue.append(k)
+    cols = [j for j in range(dim) if is_open[j]]
+    free, rest = [], []
+    for i, e in enumerate(signs):
+        if not e:
+            v = vecs[i]
+            v = [v[j] for j in cols]
+            if any(x % m for x in v):
+                free.append(i)
+                rest.append(v)
+            else:
+                signs[i] = 1
+    return signs, free, rest, [target[j] for j in cols]
 
 
 def _bitset_signs(values, target, m):

@@ -169,7 +169,8 @@ def _decode_semidirect(spec, obj):
         raise InputError(
             f"vec has length {len(vec)}, the group has k = {spec.k}")
     m = spec.m
-    return SemidirectElement([v % m for v in vec], _sign(obj, "sign"), m)
+    return SemidirectElement(tuple([v % m for v in vec]), _sign(obj, "sign"),
+                             m)
 
 
 def _decode_heisenberg(spec, obj):

@@ -15,9 +15,16 @@ reflections is even and either m is odd or the sum of all vectors is 0 mod
 2 in every coordinate.  ET(2,n) = <-I> x D_n reaches the kernel through its
 D_n factor (dihedral.decide_et2).
 
-SemidirectElement builds what it is given: families.decode checks a
-payload's sign and reduces its vector mod m, and every product and
-inverse reduces its own.
+With k >= 2 the sign search first fixes the signs that a coordinate
+touched by a single vector forces.  On a reduce_xcover equation tally
+coordinate k+i is touched by constant ell+i alone, so all ell tally signs
+are fixed before any search, and the meet in the middle runs on at most
+the ell subset constants: 2 * 2^(ell/2) sums.  So up to SIGN_CAP = 32
+subsets are answered, while a half of the search fits SIGN_BUDGET.
+
+SemidirectElement keeps what it is given, vec a tuple: families.decode
+checks a payload's sign and reduces its vector mod m, and every product
+and inverse builds its own reduced tuple once.
 """
 
 from .core import (CAP, GroupSpec, InputError, SphericalEquation, Solution,
@@ -30,22 +37,28 @@ class SemidirectElement:
 
     __slots__ = ("vec", "sign", "m")
 
-    def __init__(self, vec, sign, m):
-        self.vec = tuple(vec)
+    def __init__(self, vec: tuple, sign, m):
+        self.vec = vec
         self.sign = sign
         self.m = m
 
     def __mul__(self, other):
-        m, sign = self.m, self.sign
-        if m != other.m or len(self.vec) != len(other.vec):
+        m, sign, vec, ovec = self.m, self.sign, self.vec, other.vec
+        if m != other.m or len(vec) != len(ovec):
             raise ValueError("mixed groups")
-        return SemidirectElement(
-            [(a + sign * b) % m for a, b in zip(self.vec, other.vec)],
-            sign * other.sign, m)
+        if len(vec) == 1:  # D_m, where a comprehension costs half the call
+            vec = ((vec[0] + sign * ovec[0]) % m,)
+        else:
+            vec = tuple([(a + sign * b) % m for a, b in zip(vec, ovec)])
+        return SemidirectElement(vec, sign * other.sign, m)
 
     def inverse(self):
-        m, sign = self.m, self.sign
-        return SemidirectElement([-sign * a % m for a in self.vec], sign, m)
+        if self.sign == -1:  # (v, -1) is an involution
+            return self
+        m, vec = self.m, self.vec
+        if len(vec) == 1:
+            return SemidirectElement((-vec[0] % m,), 1, m)
+        return SemidirectElement(tuple([-a % m for a in vec]), 1, m)
 
     def __eq__(self, other):
         return (isinstance(other, SemidirectElement)
@@ -105,11 +118,11 @@ def reduce_xcover(k, subsets, m) -> SphericalEquation:
     constants = []
     for s in subsets:
         constants.append(SemidirectElement(
-            [1 if j in s else 0 for j in range(1, dim + 1)], 1, m))
+            tuple([1 if j in s else 0 for j in range(1, dim + 1)]), 1, m))
     for i, s in enumerate(subsets, start=1):
         vec = [1 if j in s else 0 for j in range(1, k + 1)] + [0] * ell
         vec[k + i - 1] = 1
-        constants.append(SemidirectElement(vec, 1, m))
+        constants.append(SemidirectElement(tuple(vec), 1, m))
     rhs = SemidirectElement((2,) * k + (1,) * ell, 1, m)
     return SphericalEquation(spec, constants, rhs)
 

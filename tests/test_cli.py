@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from spherical import cli, mat2, numtheory
+from spherical import cli, mat2, numtheory, semidirect
 from spherical.core import GroupSpec
 from spherical.families import FAMILIES
 from spherical.numtheory import legendre, solve_weighted_trace as weighted_trace
@@ -230,6 +230,53 @@ def test_reduce_xcover_then_solve(monkeypatch, capsys):
     assert rep["method"] == "semidirect-signvector"
 
 
+def _xcover_pipeline(verb, instance, monkeypatch, capsys):
+    code, out = run(["reduce", "--from", "xcover"], instance, monkeypatch,
+                    capsys)
+    assert code == 0
+    eq = json.loads(out)
+    code, out = run([verb], eq, monkeypatch, capsys)
+    assert code == 0
+    return eq, json.loads(out)
+
+
+def test_xcover_past_the_old_sign_cap(monkeypatch, capsys):
+    # ell = 20 subsets make 40 constants, above SIGN_CAP; the presolve
+    # fixes the 20 tally signs, and the search runs on the other 20
+    r = random.Random(20)
+    k, m = 30, 5
+    planted = [list(range(j, j + 3)) for j in range(1, k + 1, 3)]
+    uses = {j: 1 for j in range(1, k + 1)}
+    extra = []
+    while len(extra) < 10:
+        s = sorted(r.sample([j for j in uses if uses[j] < 3], 3))
+        for j in s:
+            uses[j] += 1
+        extra.append(s)
+    subsets = planted + extra
+    r.shuffle(subsets)
+    cert = {subsets.index(s) + 1 for s in planted}
+    yes = {"k": k, "subsets": subsets, "m": m}
+    eq, rep = _xcover_pipeline("decide", yes, monkeypatch, capsys)
+    assert len(eq["constants"]) == 40 and rep["solvable"] is True
+    _, rep = _xcover_pipeline("solve", yes, monkeypatch, capsys)
+    assert rep["solvable"] and rep["verified"]
+    sol = semidirect.certificate_to_solution(k, subsets, m, cert)
+    eq["conjugators"] = [{"vec": list(z.vec), "sign": z.sign}
+                         for z in sol.conjugators]
+    code, out = run(["verify"], eq, monkeypatch, capsys)
+    assert code == 0 and json.loads(out) == {"verified": True}
+    # 2-element subsets cover an even number of points, never all of an
+    # odd k
+    k = 15
+    pairs = [[j, j % k + 1] for j in range(1, k + 1)]
+    pairs += [[j, j + 7] for j in range(1, 6)]
+    no = {"k": k, "subsets": pairs, "m": 3}
+    for verb in ("decide", "solve"):
+        eq, rep = _xcover_pipeline(verb, no, monkeypatch, capsys)
+        assert len(eq["constants"]) == 40 and rep["solvable"] is False
+
+
 def test_sign_cap_is_capacity(monkeypatch, capsys):
     # k = 2: with k = 1 the group is D_3, whose bitset search has no such cap
     payload = {"group": {"family": "semidirect", "m": 3, "k": 2},
@@ -404,7 +451,7 @@ WITNESS_ROUTES = {
 def test_no_route_builds_an_rng(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("an Rng was built")
-    monkeypatch.setattr(cli.numtheory, "Rng", refuse)
+    monkeypatch.setattr(numtheory, "Rng", refuse)
     payloads = {argv_payload[1]["group"]["family"]: argv_payload[1]
                 for argv_payload in WITNESS_ROUTES.values()}
     payloads["gl2p"] = gl2_corpus()[-1]
@@ -522,6 +569,22 @@ def test_long_closed_form_equations_answer_quickly():
             assert reply["solvable"] is True
         else:
             assert len(reply["conjugators"]) == len(payload["constants"])
+
+
+def test_wide_signed_sum_search_is_refused_quickly():
+    # 32 dense vectors of 2000 coordinates mod 2^62 - 57: each half of the
+    # meet in the middle would hold 2^16 sums of 2000 * 63 bits, which once
+    # took 21 s and 2.66 GB before answering
+    r = random.Random(62)
+    m = 2**62 - 57
+    payload = {"group": {"family": "semidirect", "m": m, "k": 2000},
+               "constants": [{"vec": [r.randrange(1, m) for _ in range(2000)],
+                              "sign": 1} for _ in range(32)]}
+    for verb in ("decide", "solve"):
+        proc = _python(["-m", "spherical.cli", verb], payload, timeout=20)
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert proc.stderr == (b"capacity error: a signed-sum search over 32 "
+                               b"constants in 2000 coordinates is too large\n")
 
 
 @pytest.mark.parametrize("group, field", [

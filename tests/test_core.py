@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherical import cli, core, families
+from spherical import cli, core, families, semidirect
 from spherical.core import (GroupSpec, SphericalEquation, Solution,
                             InputError, TooLargeError, CayleyTable,
                             conjugacy_classes, decide_cayley, solve_brute,
@@ -12,6 +12,7 @@ from spherical.core import (GroupSpec, SphericalEquation, Solution,
                             saturation_length,
                             signed_sum_signs)
 from spherical.mat2 import Mat2
+from spherical.semidirect import SemidirectElement
 
 from conftest import q8_mul_table, cyclic_table
 
@@ -473,9 +474,89 @@ def test_signed_sum_signs_matches_every_sign_vector(m):
             targets += [tuple(r.randrange(m) for _ in range(dim))
                         for _ in range(3)]
             for target in targets:
-                got = signed_sum_signs(vecs, target, m)
-                assert (got is not None) == (target in reach), (vecs, target)
-                if got is not None:
-                    assert len(got) == count and set(got) <= {1, -1}
-                    assert all((sum(e * v[j] for e, v in zip(got, vecs))
-                                - target[j]) % m == 0 for j in range(dim))
+                _check_signed_sum(vecs, target, m, reach)
+
+
+def _check_signed_sum(vecs, target, m, reach):
+    """signed_sum_signs answers iff the brute force reaches target, and
+    its signs hit target."""
+    got = signed_sum_signs(vecs, target, m)
+    assert (got is not None) == (target in reach), (vecs, target, m)
+    if got is not None:
+        assert len(got) == len(vecs) and set(got) <= {1, -1}
+        assert all((sum(e * v[j] for e, v in zip(got, vecs)) - target[j])
+                   % m == 0 for j in range(len(target)))
+
+
+def _planted_columns(r, m, count, dim):
+    """count random vectors in which each coordinate is, at random, left
+    as drawn, touched by no vector, or touched by one vector alone, whose
+    entry is m/2 one time in three when m is even; entries run over
+    -m..2m-1, so zeros mod m are not all 0."""
+    vecs = [[r.randrange(-m, 2 * m) for _ in range(dim)]
+            for _ in range(count)]
+    for j in range(dim):
+        kind = r.randrange(3)
+        if kind == 0 or not count:
+            continue
+        for v in vecs:
+            v[j] = r.choice((-m, 0, m))
+        if kind == 2:
+            half = m % 2 == 0 and r.randrange(3) == 0
+            vecs[r.randrange(count)][j] = (m // 2 if half
+                                           else r.randrange(1, m))
+    return [tuple(v) for v in vecs]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_presolve_matches_every_sign_vector(m):
+    # with two or more coordinates the presolve runs before any search
+    r = random.Random(100 + m)
+    decided = searched = 0
+    for dim in range(2, 6):
+        for count in range(10):
+            for _ in range(3):
+                vecs = _planted_columns(r, m, count, dim)
+                reach = _signed_sums(vecs, m) if count else {(0,) * dim: ()}
+                targets = [(0,) * dim, r.choice(sorted(reach)),
+                           tuple(r.randrange(m) for _ in range(dim))]
+                for target in targets:
+                    _check_signed_sum(vecs, target, m, reach)
+                    found = core._presolve(vecs, target, m)
+                    if found is None or not found[1]:
+                        decided += 1
+                    else:
+                        searched += 1
+    # both ends of the presolve ran: answers with no search, and searches
+    assert decided > 100 and searched > 50
+
+
+def test_presolve_repeats_until_no_coordinate_qualifies():
+    # only coordinate 0 has one vector at first; fixing it leaves
+    # coordinate 1 with one, and then coordinate 2
+    vecs = [(1, 2, 0), (0, 1, 3), (0, 0, 1)]
+    assert core._presolve(vecs, (1, 1, 3), 5) == ([1, -1, 1], [], [], [])
+    assert core._presolve(vecs, (1, 1, 0), 5) is None
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_presolved_decide_and_solve_agree(m):
+    r = random.Random(200 + m)
+    for dim in (2, 3, 4):
+        spec = GroupSpec("semidirect", m=m, k=dim)
+        for count in range(1, 9):
+            vecs = _planted_columns(r, m, count, dim)
+            reach = _signed_sums(vecs, m)
+            for target in (r.choice(sorted(reach)),
+                           tuple(r.randrange(m) for _ in range(dim))):
+                eq = SphericalEquation(
+                    spec, [SemidirectElement(tuple([x % m for x in v]), 1, m)
+                           for v in vecs],
+                    SemidirectElement(target, 1, m))
+                want = target in reach
+                assert semidirect.decide_signvector(eq) == want
+                # solve_signvector returns through core.checked
+                sol = semidirect.solve_signvector(eq)
+                assert (sol is not None) == want, (vecs, target, m)
+                if want:
+                    assert verify(eq, sol)

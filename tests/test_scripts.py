@@ -13,6 +13,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("saturation_survey.py", ["--max-n", "4"]),
     ("trace_set_survey.py", ["--p", "5", "--samples", "20"]),
     ("reduction_demo.py", ["--trials", "5"]),
+    ("signed_sum_sweep.py", ["--counts", "4", "--dims", "2", "--bits", "8"]),
 ])
 def test_script_runs(script, args):
     env = dict(os.environ)

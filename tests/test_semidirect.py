@@ -11,7 +11,7 @@ from spherical.semidirect import (SemidirectElement, reduce_xcover, decide_signv
 
 
 def rand_el(r, m, k):
-    return SemidirectElement([r.randrange(m) for _ in range(k)],
+    return SemidirectElement(tuple([r.randrange(m) for _ in range(k)]),
                              r.choice((1, -1)), m)
 
 
@@ -203,11 +203,12 @@ def test_products_match_the_group_law():
             for a in els:
                 inv = a.inverse()
                 assert inv == SemidirectElement(
-                    [-a.sign * x % m for x in a.vec], a.sign, m)
+                    tuple([-a.sign * x % m for x in a.vec]), a.sign, m)
                 assert a * inv == ident
                 for b in els:
                     assert a * b == SemidirectElement(
-                        [(x + a.sign * y) % m for x, y in zip(a.vec, b.vec)],
+                        tuple([(x + a.sign * y) % m
+                               for x, y in zip(a.vec, b.vec)]),
                         a.sign * b.sign, m)
 
 
