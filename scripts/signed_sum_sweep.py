@@ -7,7 +7,8 @@ The process reports its own wall time for the search and its peak RSS
 (resource.getrusage, ru_maxrss).  A row with count 0 is the bare import.
 
 half_bits is 2^ceil(count/2) * dim * (bits + 1), what core.SIGN_BUDGET
-bounds; points above --max-half-bits are skipped, not run.
+bounds; points above twice the budget are skipped, not run, since one of
+them can take gigabytes.
 
     PYTHONPATH=src python scripts/signed_sum_sweep.py
     PYTHONPATH=src python scripts/signed_sum_sweep.py --counts 8 --dims 2 --bits 8
@@ -42,7 +43,7 @@ def run_point(count, dim, bits):
     print(f"{seconds:.4f} {rss_kb / 1024:.1f}")
 
 
-def sweep(counts, dims, bits_list, max_half_bits):
+def sweep(counts, dims, bits_list):
     budget = core.SIGN_BUDGET
     print(f"SIGN_BUDGET = {budget} bits")
     print(f"{'count':>5} {'dim':>5} {'bits':>4} {'half_bits':>12} "
@@ -53,7 +54,7 @@ def sweep(counts, dims, bits_list, max_half_bits):
         hb = half_bits(count, dim, bits) if count else 0
         head = (f"{count:>5} {dim:>5} {bits:>4} {hb:>12} "
                 f"{'yes' if hb <= budget else 'no':>6}")
-        if hb > max_half_bits:
+        if hb > 2 * budget:
             print(f"{head} {'skipped':>8}")
             continue
         proc = subprocess.run(
@@ -71,7 +72,6 @@ def main():
     parser.add_argument("--dims", type=int, nargs="+",
                         default=[1, 16, 256, 2000])
     parser.add_argument("--bits", type=int, nargs="+", default=[8, 32, 62])
-    parser.add_argument("--max-half-bits", type=int, default=1 << 31)
     parser.add_argument("--point", type=int, nargs=3,
                         metavar=("COUNT", "DIM", "BITS"),
                         help=argparse.SUPPRESS)
@@ -79,7 +79,7 @@ def main():
     if args.point:
         run_point(*args.point)
     else:
-        sweep(args.counts, args.dims, args.bits, args.max_half_bits)
+        sweep(args.counts, args.dims, args.bits)
 
 
 if __name__ == "__main__":

@@ -46,19 +46,14 @@ class SemidirectElement:
         m, sign, vec, ovec = self.m, self.sign, self.vec, other.vec
         if m != other.m or len(vec) != len(ovec):
             raise ValueError("mixed groups")
-        if len(vec) == 1:  # D_m, where a comprehension costs half the call
-            vec = ((vec[0] + sign * ovec[0]) % m,)
-        else:
-            vec = tuple([(a + sign * b) % m for a, b in zip(vec, ovec)])
+        vec = tuple([(a + sign * b) % m for a, b in zip(vec, ovec)])
         return SemidirectElement(vec, sign * other.sign, m)
 
     def inverse(self):
         if self.sign == -1:  # (v, -1) is an involution
             return self
-        m, vec = self.m, self.vec
-        if len(vec) == 1:
-            return SemidirectElement((-vec[0] % m,), 1, m)
-        return SemidirectElement(tuple([-a % m for a in vec]), 1, m)
+        m = self.m
+        return SemidirectElement(tuple([-a % m for a in self.vec]), 1, m)
 
     def __eq__(self, other):
         return (isinstance(other, SemidirectElement)
