@@ -136,6 +136,19 @@ class CayleyTable:
         self.inv = inv
         self.ident = ident
         self.n = n
+        # where each row holds 0 and 1, the only values a bool can equal
+        self._bool_slots = [(i, mul[i].index(v)) for i in range(n)
+                            for v in range(min(n, 2))]
+
+    def check_entry_types(self, table):
+        """Raise InputError unless table, equal to this one entry by entry,
+        holds only ints.  Only a float or a bool can equal an int, and this
+        costs far less than a type check of every entry: a float makes the
+        sum of the row sums a float, and a bool can only equal 0 or 1."""
+        if (type(sum(map(sum, table))) is not int
+                or any(type(table[i][j]) is not int
+                       for i, j in self._bool_slots)):
+            raise InputError("table entries must be integers")
 
 
 # GroupSpec, SphericalEquation and Solution are plain classes: importing
@@ -165,9 +178,10 @@ class GroupSpec:
                 raise InputError("group field 'table' must be a list of rows")
             table = tuple(tuple(row) for row in table)
         key = (family, n, p, m, k, table)
-        # CayleyTable checks that the entries are integers when it is built;
-        # checking each entry here would cost more than the hash, on every
-        # request for a table group
+        # CayleyTable checks that the entries are integers when it is built,
+        # and its check_entry_types when an equal spec reuses it; checking
+        # each entry here would cost more than the hash, on every request
+        # for a table group
         try:
             key_hash = hash(key)
         except TypeError:  # an entry that is a list or an object
@@ -232,7 +246,12 @@ def _memo(spec, name, build):
     compares its table in full) at most once."""
     tables = vars(spec).get("_tables")
     if tables is None:
-        tables = vars(spec)["_tables"] = _group_cache.get(spec, {})
+        tables = _group_cache.get(spec, {})
+        if "cayley" in tables:
+            # built for an equal spec, which may have held ints where this
+            # one holds equal floats or bools
+            tables["cayley"].check_entry_types(spec.table)
+        vars(spec)["_tables"] = tables
     val = tables.get(name)
     if val is None:
         val = tables[name] = build(spec)

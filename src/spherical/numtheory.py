@@ -30,8 +30,26 @@ _JAESCHKE_BASES = (2, 7, 61)
 _SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
+# is_prime's last argument and answer, as one tuple so that a reader never
+# pairs one call's argument with another's answer
+_last = (None, False)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 2^64."""
+    """Deterministic Miller-Rabin for n < 2^64.
+
+    The last answer is kept: a run of requests over one group asks about
+    the same p each time, and above 4 759 123 141 the test takes seven
+    modular powers."""
+    global _last
+    last, answer = _last
+    if n != last:
+        answer = _miller_rabin(n)
+        _last = n, answer
+    return answer
+
+
+def _miller_rabin(n: int) -> bool:
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -105,7 +105,11 @@ def reduce_xcover(k, subsets, m) -> SphericalEquation:
     subset A_i on the first k coordinates; constant ell+i additionally
     marks its own tally coordinate k+i.
     """
-    subsets = _check_xcover(k, subsets, m)
+    return _xcover_equation(k, _check_xcover(k, subsets, m), m)
+
+
+def _xcover_equation(k, subsets, m) -> SphericalEquation:
+    """reduce_xcover's equation, for subsets as _check_xcover returns them."""
     ell = len(subsets)
     dim = k + ell
     spec = GroupSpec("semidirect", m=m, k=dim)
@@ -224,4 +228,4 @@ def certificate_to_solution(k, subsets, m, cert) -> Solution:
     beta = SemidirectElement((0,) * dim, -1, m)
     zs = [ident if i in chosen else beta for i in range(1, ell + 1)]
     zs += [ident] * ell
-    return checked(reduce_xcover(k, subsets, m), Solution(zs))
+    return checked(_xcover_equation(k, subsets, m), Solution(zs))

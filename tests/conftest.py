@@ -1,8 +1,29 @@
 import itertools
+import signal
 
 import pytest
 
 from spherical.core import GroupSpec
+
+
+# No test should run past this many seconds; the slowest took 40 s on a
+# slow 2-core host.  A test that does has hung (a cycle walk that lost its
+# seen check circles forever), and is failed so that the run goes on.
+TEST_TIME_LIMIT_S = 300
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    def expire(signum, frame):
+        # pytest.fail raises a BaseException, which no `except Exception`
+        # in the code under test can swallow
+        pytest.fail(f"test still running after {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def q8_mul_table():

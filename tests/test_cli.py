@@ -637,14 +637,96 @@ def test_element_fields_must_be_integers(group, element, field, monkeypatch,
 
 
 def test_table_entries_must_be_integers(monkeypatch, capsys):
-    # the check runs when a table is built; an equal int table built earlier
-    # in this process would be reused, since True == 1 and hash(True) == 1
-    monkeypatch.setattr(cli.core, "_group_cache", {})
-    payload = {"group": {"family": "cayley", "table": [[False, True],
-                                                       [True, False]]},
+    # an equal int table decoded earlier in the process is reused, since
+    # True == 1.0 == 1 with one hash, so the check must hold warm and cold
+    ints = {"group": Z2, "constants": [{"idx": 1}, {"idx": 1}]}
+    for table in ([[False, True], [True, False]], [[0, True], [True, 0]],
+                  [[0, 1.0], [1.0, 0]]):
+        monkeypatch.setattr(cli.core, "_group_cache", {})
+        bad = {"group": {"family": "cayley", "table": table},
                "constants": [{"idx": 1}, {"idx": 1}]}
-    code, out = run(["solve"], payload, monkeypatch, capsys)
-    assert code == 2 and out == ""
+        for payload, want in ((bad, 2), (ints, 0), (bad, 2), (ints, 0)):
+            code, out = run(["solve"], payload, monkeypatch, capsys)
+            assert code == want and (out == "") == (want == 2), table
+
+
+P61 = (1 << 61) - 1
+
+
+def _prime_family_payloads(p):
+    """One decide payload over each family that needs a prime p."""
+    two = [[[2, 1], [1, 1]], [[1, 1], [1, 2]]]
+    return [
+        gl2_eq(p, two),
+        {"group": {"family": "tl2p", "p": p},
+         "constants": [{"rows": [[2, 1], [0, 1]]}, {"rows": [[1, 0], [0, 3]]}]},
+        {"group": {"family": "ut4p", "p": p},
+         "constants": [{"entries": [1, 2, 0, 0, 0, 0]},  # and its inverse
+                       {"entries": [p - 1, p - 2, 0, 0, 0, 0]}]},
+        {"group": {"family": "heisenberg", "n": 4, "p": p},
+         "constants": [{"alpha1": [1, 0], "a2": 3, "alpha3": [0, 2]},
+                       {"alpha1": [p - 1, 0], "a2": 0, "alpha3": [0, 1]}]},
+    ]
+
+
+def _outcome(verb, payload, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code = cli.main([verb])
+    return (code, *capsys.readouterr())
+
+
+@pytest.fixture
+def tested(monkeypatch):
+    """Every n that is_prime runs Miller-Rabin on, from an empty memo."""
+    tested = []
+
+    def miller_rabin(n, body=numtheory._miller_rabin):
+        tested.append(n)
+        return body(n)
+
+    monkeypatch.setattr(numtheory, "_miller_rabin", miller_rabin)
+    monkeypatch.setattr(numtheory, "_last", (None, False))
+    return tested
+
+
+def test_prime_memo_never_changes_an_outcome(tested, monkeypatch, capsys):
+    gl2, tl2, ut4, heis = _prime_family_payloads(P61)
+    composite = (10**9 + 7) ** 2  # passes trial division by small primes
+    no_prime = "input error: gl2p needs a prime p\n"
+    steps = [
+        ("decide", gl2, 0, ""),
+        ("decide", _prime_family_payloads(composite)[0], 2, no_prime),
+        ("solve", gl2, 0, ""),
+        ("decide", {"group": {"family": "gl2p"}, "constants": []}, 2,
+         no_prime),
+        ("decide", gl2, 0, ""),
+        ("decide", _prime_family_payloads(1 << 64)[0], 3,
+         "capacity error: gl2p field 'p' is not below 2^64\n"),
+        ("solve", tl2, 0, ""),
+        ("decide", ut4, 0, ""),
+        ("solve", heis, 0, ""),
+        ("solve", gl2, 0, ""),
+    ]
+    warm = [_outcome(verb, payload, monkeypatch, capsys)
+            for verb, payload, _, _ in steps]
+    # composite and prime tested once each time p changes; the p >= 2^64
+    # request is refused before any test, and one p serves every family
+    assert tested == [P61, composite, P61]
+    for (verb, payload, code, err), got in zip(steps, warm):
+        assert got[0] == code and got[2] == err
+        assert (got[1] == "") == (code != 0)
+        monkeypatch.setattr(numtheory, "_last", (None, False))
+        assert _outcome(verb, payload, monkeypatch, capsys) == got
+
+
+def test_requests_on_one_group_test_its_prime_once(tested, monkeypatch,
+                                                   capsys):
+    p = (1 << 31) - 1
+    ut4 = _prime_family_payloads(p)[2]
+    for verb in ("decide", "solve", "decide", "solve"):
+        code, out = run([verb], ut4, monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["solvable"] is True
+    assert tested == [p]
 
 
 def test_saturation_of_a_non_object_is_input_error(monkeypatch, capsys):

@@ -46,11 +46,39 @@ def test_cayley_table_validation():
         ])
     tab = CayleyTable(q8_mul_table())
     assert tab.ident == 0 and tab.n == 8
-    # True == 1 and 1.0 == 1, so these equal a valid Z2 table entry by entry
+
+
+def _with_entry(table, i, j, val):
+    rows = [list(row) for row in table]
+    rows[i][j] = val
+    return rows
+
+
+# True == 1 and 1.0 == 1, so each equals a valid table entry by entry
+@pytest.mark.parametrize("bad", [
+    [[0, 1.0], [1, 0]], [[0, 1], [1, 0.0]], [[False, True], [True, False]],
+    [[0, True], [True, 0]], [[False, 1], [1, 0]],
+    # Q8: a float where an entry is neither 0 nor 1, and a bool at a 1
+    _with_entry(q8_mul_table(), 5, 6, 3.0),
+    _with_entry(q8_mul_table(), 7, 7, True),
+])
+@pytest.mark.parametrize("int_table_first", [False, True])
+def test_table_entries_are_checked_warm_or_cold(bad, int_table_first,
+                                                monkeypatch):
+    # the int table is cached under a spec equal to bad's, since
+    # True == 1.0 == 1 with one hash
+    monkeypatch.setattr(core, "_group_cache", {})
+    ints = [[int(v) for v in row] for row in bad]
+    assert ints == bad
+    if int_table_first:
+        GroupSpec("cayley", table=ints)._cayley_table()
     with pytest.raises(InputError, match="integers"):
-        CayleyTable([[False, True], [True, False]])
+        CayleyTable(bad)
     with pytest.raises(InputError, match="integers"):
-        CayleyTable([[0, 1.0], [1, 0]])
+        GroupSpec("cayley", table=bad)._cayley_table()
+    with pytest.raises(InputError, match="integers"):
+        conjugacy_classes(GroupSpec("cayley", table=bad))
+    assert GroupSpec("cayley", table=ints)._cayley_table().n == len(ints)
 
 
 def test_group_spec_validation():
